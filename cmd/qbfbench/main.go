@@ -10,13 +10,10 @@
 //	prob      — Table I row 7 and Figure 7 (probabilistic class)
 //	fixed     — Table I row 8 and Figure 7 (fixed class)
 //	scaling   — Figure 6 (counter and semaphore series)
-//	portfolio — racing-portfolio speedup vs the sequential engine
-//	serve     — qbfd service smoke: throughput, shed rate, oracle agreement
-//	gate      — qbfgate front-tier smoke: cache hit rate, failover, drain under load
-//	session   — incremental-vs-one-shot: ladder agreement and push/assume variant sweep
 //	all       — everything above
 //
-// Scatter CSVs land in -out (default "results/").
+// Scatter CSVs land in -out (default "results/"). Performance is measured
+// by perfbench (perfbench/README.md), not here.
 //
 // Example:
 //
@@ -56,7 +53,7 @@ var plotFigures bool
 var campaignFailures int
 
 func main() {
-	suite := flag.String("suite", "all", "suite: ncf, fpv, dia, prob, fixed, scaling, portfolio, serve, gate, session, all")
+	suite := flag.String("suite", "all", "suite: ncf, fpv, dia, prob, fixed, scaling, all")
 	scaleName := flag.String("scale", "default", "experiment scale: smoke, default, full")
 	outDir := flag.String("out", "results", "directory for CSV artifacts")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel solver instances")
@@ -64,8 +61,6 @@ func main() {
 	mem := flag.Int64("mem", 0, "per-solve learned-constraint memory limit in MiB (0 = none)")
 	retries := flag.Int("retries", 0, "extra attempts with doubled budgets after a limit stop")
 	plot := flag.Bool("plot", false, "render ASCII versions of the figures to stdout")
-	pWorkers := flag.Int("pworkers", 4, "portfolio suite: racing configurations per instance")
-	share := flag.Bool("share", true, "portfolio suite: exchange learned constraints between workers")
 	tracePath := flag.String("trace", "", "write a JSONL solver-event trace to FILE (summarize with `qbfstat trace FILE`)")
 	metricsAddr := flag.String("metrics-addr", "", "serve expvar event counters and pprof on ADDR while the campaign runs")
 	profile := flag.String("profile", "", "capture CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
@@ -119,20 +114,12 @@ func main() {
 			rows = append(rows, runSimple(ctx, "FIXED", bench.EvalSuite(scale, true), scale, cfg, filepath.Join(*outDir, "fig7_fixed_scatter.csv")))
 		case "scaling":
 			runScaling(scale, *outDir)
-		case "portfolio":
-			runPortfolioSuite(ctx, cfg, *pWorkers, *share, *outDir)
-		case "serve":
-			runServeSuite(ctx, cfg, *outDir)
-		case "gate":
-			runGateSuite(ctx, cfg, *outDir)
-		case "session":
-			runSessionSuite(ctx, cfg, *outDir)
 		default:
 			fail(fmt.Errorf("unknown suite %q", name))
 		}
 	}
 	if *suite == "all" {
-		for _, s := range []string{"ncf", "fpv", "dia", "prob", "fixed", "scaling", "portfolio", "serve", "gate", "session"} {
+		for _, s := range []string{"ncf", "fpv", "dia", "prob", "fixed", "scaling"} {
 			run(s)
 		}
 	} else {

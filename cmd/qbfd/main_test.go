@@ -147,7 +147,7 @@ func (d *daemon) get(t *testing.T, path string) int {
 func hardFormula(t *testing.T) string {
 	t.Helper()
 	q := randqbf.Prob(randqbf.ProbParams{
-		Blocks: 3, BlockSize: 32, Clauses: 21 * 32, Length: 5, MaxUniversal: 1, Seed: 4,
+		Blocks: 3, BlockSize: 40, Clauses: 21 * 40, Length: 5, MaxUniversal: 1, Seed: 4,
 	})
 	text, err := qdimacs.WriteString(q)
 	if err != nil {

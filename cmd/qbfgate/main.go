@@ -91,6 +91,11 @@ func main() {
 		fail(err)
 	}
 
+	// The signal handler goes in before the listening line announces the
+	// gate: a SIGTERM sent as soon as the port is known must shut down
+	// cleanly, not kill the process under the default disposition.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)
@@ -104,8 +109,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		finish(obs)

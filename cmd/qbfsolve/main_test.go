@@ -162,8 +162,10 @@ func TestCLITimeout(t *testing.T) {
 
 // TestCLIInterrupt: SIGINT must wind the search down at the next fixpoint
 // and exit 33 (cancelled), for the sequential and the portfolio engine.
+// The instance takes 2.5–3 s on either engine (2-core x86-64), far beyond
+// the 100 ms before the signal.
 func TestCLIInterrupt(t *testing.T) {
-	path := hardInstanceFile(t, 32, 4)
+	path := hardInstanceFile(t, 40, 4)
 	for _, extra := range [][]string{nil, {"-workers", "4", "-share"}} {
 		args := append(append([]string{}, extra...), path)
 		cmd := exec.Command(os.Args[0], args...)

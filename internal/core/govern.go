@@ -21,11 +21,9 @@ import (
 
 // Byte-accounting model for a learned constraint of n literals: its arena
 // footprint (hdrWords header words plus one uint32 word per literal) plus,
-// per literal, a charge for the list entries referencing it — occurrence
-// entries under the counter engine, watcher/export slots under the watched
-// engine; one model covers both so MemLimit behaves identically across
-// engines. Slice headers, allocator slack, and the counter arrays
-// (preallocated per variable, not per constraint) are not charged — the
+// per literal, a charge for the watcher and export slots referencing it.
+// Slice headers, allocator slack, and the arrays preallocated per
+// variable (not per constraint) are not charged — the
 // estimate tracks the quantity that actually grows without bound during
 // search.
 const perLiteralBytes = int64(unsafe.Sizeof(qbf.NoLit)) + int64(unsafe.Sizeof(int(0)))

@@ -65,11 +65,12 @@ type Options struct {
 	// Assume and AddClause may be called between Solve calls, learned
 	// clauses are tagged with the deepest assumption frame they depend on,
 	// and popping a frame drops exactly the constraints that cited it (see
-	// incremental.go). Construction differs in two ways: a formula that is
+	// incremental.go). Construction differs in one way: a formula that is
 	// trivially decided at build time keeps a fully initialized solver (so
-	// later AddClause calls can un-trivialize it), and pure-literal fixing
-	// is suppressed at decision level 0 (a root-level pure assignment made
-	// under one matrix is not sound once AddClause grows it).
+	// later AddClause calls can un-trivialize it). Root-level pure-literal
+	// fixing stays on: AddClause first unwinds every root pure assignment
+	// whose variable the incoming clause mentions (invalidatePures), and
+	// Pop only shrinks the occurrence sets, so purity is never stale.
 	Incremental bool
 
 	// DisableClauseLearning turns off nogood learning; conflicts then

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/qbf"
@@ -46,21 +45,5 @@ func BenchmarkPropagate(b *testing.B) {
 			}
 		}
 		s.backtrack(0)
-	}
-}
-
-// BenchmarkSolve runs the full search end-to-end on a small
-// propagation-bound smoke pool; scripts/check.sh records its ns/op in
-// results/BENCH_propagate.json as the one-shot baseline history.
-func BenchmarkSolve(b *testing.B) {
-	pool := []*qbf.QBF{phpFormula(6), phpFormula(7)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, q := range pool {
-			res, err := Solve(context.Background(), q, Options{Mode: ModePartialOrder})
-			if err != nil || res.Verdict != False {
-				b.Fatalf("verdict=%v err=%v", res.Verdict, err)
-			}
-		}
 	}
 }

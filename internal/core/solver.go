@@ -29,8 +29,8 @@ const (
 )
 
 // Constraints (clauses and cubes) live in the arena clause store (see
-// arena.go): one flat []uint32 region, integer refs, watched-literal or
-// counter state in the header words.
+// arena.go): one flat []uint32 region, integer refs, the two watched
+// literals at positions 0 and 1 of every constraint.
 
 // blockInfo caches per-block structure derived from the prefix.
 type blockInfo struct {

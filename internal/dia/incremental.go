@@ -132,10 +132,11 @@ func buildLadder(m *models.Model, maxN int) (*qbf.QBF, []ladderStep) {
 
 // StepInstance materializes φk of m's diameter ladder as one self-contained
 // formula: the permanent clauses of steps 0..k plus step k's framed
-// assertions, over the ladder prefix built for k. The bench session suite
-// uses these as base instances for incremental-vs-one-shot comparisons —
-// every clause sits at frame 0, so an incremental session over the result
-// keeps all of its learning across push/pop perturbations.
+// assertions, over the ladder prefix built for k. The variant sweeps (the
+// incremental tests here, perfbench's dia-ladder workload) use these as
+// base instances for incremental-vs-one-shot comparisons — every clause
+// sits at frame 0, so an incremental session over the result keeps all of
+// its learning across push/pop perturbations.
 func StepInstance(m *models.Model, k int) (*qbf.QBF, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("dia: StepInstance: negative step %d", k)

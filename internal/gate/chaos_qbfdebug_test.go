@@ -29,10 +29,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/qbf"
 	"repro/internal/qdimacs"
-	"repro/internal/randqbf"
 	"repro/internal/result"
 	"repro/internal/server"
 )
@@ -95,41 +93,10 @@ func kill(w http.ResponseWriter) {
 	}
 }
 
-// chaosInstance is one pool entry: the instance and its oracle verdict
-// from an unbudgeted sequential solve.
-type chaosInstance struct {
-	q       *qbf.QBF
-	text    string
-	verdict core.Verdict
-}
-
-func chaosPoolGate(t *testing.T, n int) []chaosInstance {
-	t.Helper()
-	pool := make([]chaosInstance, n)
-	for i := range pool {
-		q := randqbf.Prob(randqbf.ProbParams{
-			Blocks: 2, BlockSize: 6, Clauses: 26, Length: 3, MaxUniversal: 1, Seed: int64(500 + i),
-		})
-		text, err := qdimacs.WriteString(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Solve(context.Background(), q, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict == core.Unknown {
-			t.Fatalf("oracle could not decide instance %d", i)
-		}
-		pool[i] = chaosInstance{q: q, text: text, verdict: res.Verdict}
-	}
-	return pool
-}
-
 // renameVariant renders a rename variant of inst: a random bijection on
 // its variables. Canonicalization must fold every variant onto the
 // original's cache key.
-func renameVariant(t *testing.T, inst chaosInstance, seed int64) string {
+func renameVariant(t *testing.T, inst oracleInstance, seed int64) string {
 	t.Helper()
 	maxVar := inst.q.MaxVar()
 	if pm := inst.q.Prefix.MaxVar(); pm > maxVar {
@@ -149,7 +116,7 @@ func renameVariant(t *testing.T, inst chaosInstance, seed int64) string {
 }
 
 func TestChaosGateStorm(t *testing.T) {
-	pool := chaosPoolGate(t, 6)
+	pool := oraclePool(t, 6)
 	baseGoroutines := runtime.NumGoroutine()
 
 	// Three real solve servers, each behind a chaos proxy.

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,8 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/qbf"
+	"repro/internal/qdimacs"
+	"repro/internal/randqbf"
 	"repro/internal/result"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // stub is a fake qbfd backend: health endpoints that honor a failure flag,
@@ -454,6 +460,138 @@ func TestBadRequestsRejectedAtTheEdge(t *testing.T) {
 	if h := s.hits.Load(); h != 0 {
 		t.Errorf("invalid requests reached the backend %d times", h)
 	}
+}
+
+// TestDrainBackendUnderLoad drains one of three real solve servers while
+// a client storm runs through the gate. In-flight solves on the draining
+// backend finish and new ones fail over, so no request fails at the
+// transport level, every decided verdict matches the oracle, and the
+// drain completes without forcing cancellation.
+func TestDrainBackendUnderLoad(t *testing.T) {
+	pool := oraclePool(t, 6)
+	var backends []*server.Server
+	var urls []string
+	for i := 0; i < 3; i++ {
+		s := server.New(server.Config{Workers: 2, QueueDepth: 256, QueueTimeout: 10 * time.Second})
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		backends = append(backends, s)
+		urls = append(urls, ts.URL)
+	}
+	g, err := New(Config{
+		Backends:   urls,
+		HedgeDelay: 10 * time.Millisecond,
+		Pool: PoolConfig{ProbeInterval: 50 * time.Millisecond, ProbeTimeout: 300 * time.Millisecond,
+			SuspectAfter: 1, EjectAfter: 3, RecoverAfter: 1, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	front := httptest.NewServer(g.Handler())
+	t.Cleanup(front.Close)
+
+	const clients, perClient = 6, 20
+	var (
+		wg        sync.WaitGroup
+		done      atomic.Int64
+		startOnce sync.Once
+		decided   atomic.Int64
+	)
+	drained := make(chan error, 1)
+	errs := make(chan error, clients*perClient)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := client.New(front.URL, nil, client.Policy{
+				MaxAttempts: 4, BaseDelay: 10 * time.Millisecond, MaxDelay: 200 * time.Millisecond, Seed: int64(c) + 1,
+			})
+			for i := 0; i < perClient; i++ {
+				inst := pool[(c+i)%len(pool)]
+				// Witness requests bypass the cache, so the backends stay
+				// busy for the whole storm, drain included.
+				req := server.SolveRequest{Formula: inst.text, Witness: i%2 == 0}
+				out, err := cl.Solve(context.Background(), req)
+				switch {
+				case err != nil && out.Status == 0:
+					errs <- fmt.Errorf("client %d request %d dropped: %v", c, i, err)
+				case out.Decided():
+					decided.Add(1)
+					if out.Resp.Verdict != inst.verdict.String() {
+						errs <- fmt.Errorf("client %d request %d: verdict %q (source %q), oracle %v",
+							c, i, out.Resp.Verdict, out.Resp.Source, inst.verdict)
+					}
+				}
+				// A third of the way in, backend 0 starts draining; this
+				// client waits until it has, so the rest of the storm
+				// runs against a draining backend.
+				if done.Add(1) == clients*perClient/3 {
+					startOnce.Do(func() {
+						go func() {
+							ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+							defer cancel()
+							drained <- backends[0].Drain(ctx)
+						}()
+						for !backends[0].Draining() {
+							time.Sleep(time.Millisecond)
+						}
+					})
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("backend 0 drain was forced: %v", err)
+	}
+	if decided.Load() == 0 {
+		t.Error("storm produced no verdicts")
+	}
+	for i, s := range backends[1:] {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain backend %d: %v", i+1, err)
+		}
+		cancel()
+	}
+	t.Logf("%d/%d decided; snapshot %+v", decided.Load(), clients*perClient, g.Snapshot())
+}
+
+// oracleInstance is one pool entry: the instance and its oracle verdict
+// from an unbudgeted sequential solve.
+type oracleInstance struct {
+	q       *qbf.QBF
+	text    string
+	verdict core.Verdict
+}
+
+// oraclePool builds n small model-A instances with their oracle verdicts.
+func oraclePool(t *testing.T, n int) []oracleInstance {
+	t.Helper()
+	pool := make([]oracleInstance, n)
+	for i := range pool {
+		q := randqbf.Prob(randqbf.ProbParams{
+			Blocks: 2, BlockSize: 6, Clauses: 26, Length: 3, MaxUniversal: 1, Seed: int64(500 + i),
+		})
+		text, err := qdimacs.WriteString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Solve(context.Background(), q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict == core.Unknown {
+			t.Fatalf("oracle could not decide instance %d", i)
+		}
+		pool[i] = oracleInstance{q: q, text: text, verdict: res.Verdict}
+	}
+	return pool
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

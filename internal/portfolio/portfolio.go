@@ -553,19 +553,3 @@ func min64(a, b int64) int64 {
 	}
 	return b
 }
-
-// BackendFunc adapts a portfolio configuration to the batch-harness
-// backend signature (see bench.SolveBackend): the per-solve core.Options
-// become the portfolio's Base budgets, and the merged portfolio result
-// collapses into a single core.Result.
-func BackendFunc(opts Options) func(ctx context.Context, q *qbf.QBF, opt core.Options) (core.Result, error) {
-	return func(ctx context.Context, q *qbf.QBF, opt core.Options) (core.Result, error) {
-		c := opts
-		c.Base = opt
-		rep, err := Solve(ctx, q, c)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return core.Result{Verdict: rep.Verdict, Stats: rep.Stats}, rep.Err()
-	}
-}

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -132,23 +133,69 @@ func TestPortfolioDifferential(t *testing.T) {
 }
 
 // TestPortfolioDifferentialStructured repeats the differential check on
-// structured (fixed-class) instances where learning actually fires, so
-// constraint sharing moves real clauses and cubes between workers.
+// structured instances where learning actually fires, so constraint
+// sharing moves real clauses and cubes between workers: the prenex
+// fixed-class formulas, their miniscoped trees, and four adversarial
+// model-A instances on which the default configuration is 8–60x slower
+// than some schedule member, so a non-default worker decides the race
+// there.
 func TestPortfolioDifferentialStructured(t *testing.T) {
 	n := 12
 	if testing.Short() {
 		n = 4
 	}
+	var fixed, trees, adv []namedQBF
 	for i := 0; i < n; i++ {
-		q := randqbf.Fixed(int64(i))
-		seqRRes, err := core.Solve(context.Background(), q, core.Options{Mode: core.ModePartialOrder})
-		seqR := seqRRes.Verdict
-		if err != nil {
-			t.Fatalf("instance %d: sequential: %v", i, err)
+		fixed = append(fixed, namedQBF{fmt.Sprintf("fixed-%d", i), randqbf.Fixed(int64(i))})
+	}
+	for i := 0; i < 6; i++ {
+		tree, _, _ := randqbf.MiniscopeFilter(randqbf.Fixed(int64(i)), 0)
+		trees = append(trees, namedQBF{fmt.Sprintf("fixed-%d-tree", i), tree})
+	}
+	for _, seed := range []int64{2, 15, 20, 37} {
+		adv = append(adv, namedQBF{fmt.Sprintf("prob-adv-%d", seed), randqbf.Prob(randqbf.ProbParams{
+			Blocks: 3, BlockSize: 24, Clauses: 504, Length: 5, MaxUniversal: 1, Seed: seed,
+		})})
+	}
+
+	// The tree inputs only add coverage if miniscoping really left an
+	// incomparable ∃/∀ pair, and the model-A inputs only if they alternate.
+	t.Run("input-shape", func(t *testing.T) {
+		for _, in := range trees {
+			if len(in.q.Matrix) == 0 || in.q.Prefix.IsPrenex() {
+				t.Errorf("%s: want a non-empty non-prenex tree (%d clauses, prenex %v)",
+					in.name, len(in.q.Matrix), in.q.Prefix.IsPrenex())
+			}
 		}
-		rep := mustSolve(t, q, Options{Workers: 4, Share: true, MaxParallel: 2, SliceNodes: 256})
-		if rep.Verdict != seqR {
-			t.Fatalf("instance %d: portfolio %v != sequential %v (winner %s)", i, rep.Verdict, seqR, rep.WinnerName())
+		for _, in := range adv {
+			st := in.q.Stats()
+			if len(in.q.Matrix) == 0 || st.Universals == 0 || st.Existentials == 0 {
+				t.Errorf("%s: want a non-empty formula with both quantifiers, got %+v", in.name, st)
+			}
+		}
+	})
+	t.Run("fixed", func(t *testing.T) { agreeWithSequential(t, fixed) })
+	t.Run("miniscoped-fixed", func(t *testing.T) { agreeWithSequential(t, trees) })
+	t.Run("prob-adv", func(t *testing.T) { agreeWithSequential(t, adv) })
+}
+
+type namedQBF struct {
+	name string
+	q    *qbf.QBF
+}
+
+// agreeWithSequential demands that a sharing four-worker portfolio decides
+// every input with the sequential partial-order solver's verdict.
+func agreeWithSequential(t *testing.T, inputs []namedQBF) {
+	t.Helper()
+	for _, in := range inputs {
+		seqRes, err := core.Solve(context.Background(), in.q, core.Options{Mode: core.ModePartialOrder})
+		if err != nil {
+			t.Fatalf("%s: sequential: %v", in.name, err)
+		}
+		rep := mustSolve(t, in.q, Options{Workers: 4, Share: true, MaxParallel: 2, SliceNodes: 256})
+		if rep.Verdict == core.Unknown || rep.Verdict != seqRes.Verdict {
+			t.Fatalf("%s: portfolio %v != sequential %v (winner %s)", in.name, rep.Verdict, seqRes.Verdict, rep.WinnerName())
 		}
 	}
 }
@@ -295,24 +342,6 @@ func TestPortfolioSharingMovesConstraints(t *testing.T) {
 		t.Fatal("no constraint was ever imported — the exchange is dead weight")
 	}
 	t.Logf("imported %d constraints across the suite", imports)
-}
-
-func TestBackendFunc(t *testing.T) {
-	backend := BackendFunc(Options{Workers: 2, Share: true, Deterministic: true})
-	q := randqbf.Fixed(1)
-	res, err := backend(context.Background(), q, core.Options{Mode: core.ModePartialOrder})
-	if err != nil {
-		t.Fatalf("backend: %v", err)
-	}
-	r, st := res.Verdict, res.Stats
-	seqRRes, _ := core.Solve(context.Background(), q, core.Options{Mode: core.ModePartialOrder})
-	seqR := seqRRes.Verdict
-	if r != seqR {
-		t.Fatalf("backend %v != sequential %v", r, seqR)
-	}
-	if st.Decisions == 0 && r != core.Unknown {
-		t.Fatal("backend lost the merged statistics")
-	}
 }
 
 // hardInstance returns a formula comfortably beyond tiny node budgets

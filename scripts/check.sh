@@ -56,20 +56,14 @@
 #                          both minima equally; fails when the min-of-runs
 #                          ratio exceeds QBF_OVERHEAD_TOLERANCE, default
 #                          1.02, i.e. 2% — see DESIGN.md §9)
-#  12. propagation bench baseline
-#                          (BenchmarkSolve and BenchmarkPropagate on the
-#                          watcher engine — the only propagation engine
-#                          since the counter engine's retirement; records
-#                          min-of-runs ns/op in results/BENCH_propagate.json
-#                          as the baseline history)
-#  13. session chaos       (the sticky-session protocol under -tags
+#  12. session chaos       (the sticky-session protocol under -tags
 #                          qbfdebug -race: seq races across goroutines,
 #                          busy-session shedding, contained-panic
 #                          retirement with breaker trips and recovery,
 #                          journal recovery after in-process crash stops,
 #                          and a concurrent session storm against the
 #                          one-shot oracle — see DESIGN.md §12 and §13)
-#  13b. crash-recovery chaos
+#  13. crash-recovery chaos
 #                          (the real qbfd binary under -tags qbfdebug
 #                          -race: the fault hook SIGKILLs the daemon at a
 #                          chosen journal append mid-storm, a restart over
@@ -77,21 +71,13 @@
 #                          session, the stranded clients reconnect on
 #                          their own, and all verdicts agree with the
 #                          oracle ladder — see DESIGN.md §13)
-#  14. bench smoke         (portfolio-vs-sequential, solve-service,
-#                          front-tier, and incremental-session smoke
-#                          campaigns; write results/BENCH_portfolio.json,
-#                          results/BENCH_serve.json, results/BENCH_gate.json
-#                          and results/BENCH_session.json and fail on any
-#                          verdict disagreement, dropped request, or
-#                          hitless cache. The session campaign gates that
-#                          incremental solving beats repeated one-shot
-#                          solving: variant-sweep decision ratio and wall
-#                          speedup both above QBF_SESSION_TOLERANCE,
-#                          default 1.0. The same report's durability
-#                          phase prices the write-ahead journal: the
-#                          journaled-service wall overhead over an
-#                          identical non-durable run must stay under
-#                          QBF_JOURNAL_TOLERANCE, default 2.0)
+#  14. perfbench smoke     (builds the benchmark and runs each of its
+#                          three workloads — paper-batch, dia-ladder,
+#                          serve-mix — for 3 seconds untraced; perfbench
+#                          exits non-zero on any verdict that disagrees
+#                          with its reference, and the build fails when
+#                          a repository API the benchmark uses changes —
+#                          see perfbench/README.md)
 #
 # Exits non-zero at the first failing step. Run from anywhere inside the
 # repository.
@@ -181,27 +167,6 @@ echo "$hooked $stripped ${QBF_OVERHEAD_TOLERANCE:-1.02}" | awk '{
     if (ratio > $3) { print "disabled tracing regresses past tolerance" > "/dev/stderr"; exit 1 }
 }'
 
-echo "==> propagation bench baseline (results/BENCH_propagate.json)"
-# Min-of-runs on the propagation-bound smoke pool (end-to-end
-# BenchmarkSolve) and on the isolated fixpoint loop (BenchmarkPropagate).
-# Since the counter engine's retirement there is no in-tree engine to race,
-# so this step records the watcher baseline instead of gating a ratio;
-# compare against the checked-in history when touching the hot path.
-prop_out=$(go test -run '^$' -bench '^(BenchmarkSolve|BenchmarkPropagate)$' \
-    -benchtime 0.3s -count 4 ./internal/core/)
-prop_min() {
-    echo "$prop_out" |
-        awk -v name="$1" 'index($1, name) == 1 { if (min == "" || $3 < min) min = $3 } END { print min }'
-}
-sw=$(prop_min "BenchmarkSolve")
-pw=$(prop_min "BenchmarkPropagate")
-echo "    solve      ${sw} ns/op"
-echo "    propagate  ${pw} ns/op"
-mkdir -p results
-echo "$sw $pw" | awk '{
-    printf "{\n  \"bench\": \"propagate\",\n  \"pool\": \"php6+php7 smoke\",\n  \"solve_ns_op\": %s,\n  \"propagate_ns_op\": %s\n}\n", $1, $2 > "results/BENCH_propagate.json"
-}'
-
 echo "==> session chaos (qbfdebug, race)"
 go test -tags qbfdebug -race -count=1 -run 'TestSession|TestJournal|TestDrainTombstones' \
     ./internal/server/ ./internal/server/client/
@@ -210,43 +175,9 @@ echo "==> crash-recovery chaos (qbfdebug, race, real daemon, SIGKILL mid-storm)"
 go test -tags qbfdebug -race -count=1 -run 'TestChaosCrashRecovery|TestDaemonJournalRecovery' \
     ./cmd/qbfd/
 
-echo "==> bench_portfolio smoke (results/BENCH_portfolio.json)"
-go run ./cmd/qbfbench -suite portfolio -scale smoke -out results
-
-echo "==> bench_serve smoke (results/BENCH_serve.json)"
-go run ./cmd/qbfbench -suite serve -scale smoke -out results
-
-echo "==> bench_gate smoke (results/BENCH_gate.json)"
-go run ./cmd/qbfbench -suite gate -scale smoke -out results
-
-echo "==> bench_session smoke (results/BENCH_session.json)"
-# The suite itself fails on any verdict disagreement or a non-positive
-# decision-count advantage; the wall-clock speedup gate lives here so its
-# tolerance is tunable without a rebuild. Both sides take the min of the
-# suite's repetitions, so QBF_SESSION_TOLERANCE (default 1.0: incremental
-# must simply win) only needs headroom for machine-level noise.
-go run ./cmd/qbfbench -suite session -scale smoke -out results
-awk -v tol="${QBF_SESSION_TOLERANCE:-1.0}" '
-    /"variant_wall_speedup"/ { gsub(/[,"]/, ""); speedup = $2 }
-    /"variant_decision_ratio"/ { gsub(/[,"]/, ""); ratio = $2 }
-    END {
-        printf "    incremental vs one-shot: %.2fx decisions, %.2fx wall (tolerance %.2fx)\n", ratio, speedup, tol
-        if (speedup + 0 < tol + 0 || ratio + 0 < tol + 0) {
-            print "incremental sessions do not beat one-shot solving" > "/dev/stderr"
-            exit 1
-        }
-    }' results/BENCH_session.json
-# Durability gate: crash tolerance may cost a bounded factor of session
-# wall time (buffered appends under the interval fsync policy), never a
-# cliff. Both sides are min-of-reps over the same loopback workload.
-awk -v tol="${QBF_JOURNAL_TOLERANCE:-2.0}" '
-    /"journal_overhead"/ { gsub(/[,"]/, ""); overhead = $2 }
-    END {
-        printf "    journal overhead: %.2fx wall (tolerance %.2fx)\n", overhead, tol
-        if (overhead + 0 > tol + 0) {
-            print "write-ahead journal overhead exceeds tolerance" > "/dev/stderr"
-            exit 1
-        }
-    }' results/BENCH_session.json
+echo "==> perfbench smoke (paper-batch, dia-ladder, serve-mix; 3s each)"
+for workload in paper-batch dia-ladder serve-mix; do
+    bash perfbench/run.sh --workload "$workload" --seconds 3 --trace 0
+done
 
 echo "All checks passed."
