@@ -27,18 +27,21 @@ type analysis struct {
 }
 
 // workSet is a sparse literal set keyed by variable — the working
-// resolvent of the analysis loops. The lit array is owned by the Solver
-// and reused across analyses (cleared through the vars list), which keeps
-// the hot solution-analysis path free of map operations.
+// resolvent of the analysis loops. The arrays are owned by the Solver and
+// reused across analyses (cleared through the vars list), which keeps the
+// hot solution-analysis path free of map operations.
 type workSet struct {
 	lit  []qbf.Lit // indexed by variable; 0 = absent
+	pos  []int32   // indexed by variable: its index in vars while present
 	vars []qbf.Var // current members, unordered
+	drop []qbf.Var // reduceSet's scratch list of members to delete
 }
 
 // newWorkSet returns the solver's reusable working set, cleared.
 func (s *Solver) newWorkSet() *workSet {
 	if s.ws.lit == nil {
 		s.ws.lit = make([]qbf.Lit, s.nVars+1)
+		s.ws.pos = make([]int32, s.nVars+1)
 	}
 	for _, v := range s.ws.vars {
 		s.ws.lit[v] = 0
@@ -55,23 +58,22 @@ func (w *workSet) get(v qbf.Var) qbf.Lit { return w.lit[v] }
 func (w *workSet) add(l qbf.Lit) {
 	v := l.Var()
 	if w.lit[v] == 0 {
+		w.pos[v] = int32(len(w.vars))
 		w.vars = append(w.vars, v)
 	}
 	w.lit[v] = l
 }
 
+// del removes v's literal; the last member moves into its slot.
 func (w *workSet) del(v qbf.Var) {
 	if w.lit[v] == 0 {
 		return
 	}
 	w.lit[v] = 0
-	for i, x := range w.vars {
-		if x == v {
-			w.vars[i] = w.vars[len(w.vars)-1]
-			w.vars = w.vars[:len(w.vars)-1]
-			break
-		}
-	}
+	i, last := w.pos[v], w.vars[len(w.vars)-1]
+	w.vars[i] = last
+	w.pos[last] = i
+	w.vars = w.vars[:len(w.vars)-1]
 }
 
 func (w *workSet) slice() []qbf.Lit {
@@ -85,54 +87,50 @@ func (w *workSet) slice() []qbf.Lit {
 // universalReduceSet applies Lemma 3 to the working clause: universal
 // literals with no existential literal of the set in their scope are
 // removed.
-func (s *Solver) universalReduceSet(w *workSet) {
-	var drop []qbf.Var
-	for _, v := range w.vars {
-		if s.quant[v] != qbf.Forall {
-			continue
-		}
-		keep := false
-		for _, x := range w.vars {
-			if s.quant[x] == qbf.Exists && s.before(v, x) {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			drop = append(drop, v)
-		}
-	}
-	for _, v := range drop {
-		w.del(v)
-	}
-	if len(drop) > 0 {
-		s.emitEv(telemetry.KindReduce, 0, int64(len(drop)), 0)
-	}
-}
+func (s *Solver) universalReduceSet(w *workSet) { s.reduceSet(w, qbf.Exists) }
 
-// existentialReduceSet is the dual reduction for working cubes.
-func (s *Solver) existentialReduceSet(w *workSet) {
-	var drop []qbf.Var
+// existentialReduceSet is the dual reduction for working cubes: existential
+// literals with no universal literal of the set in their scope are removed.
+func (s *Solver) existentialReduceSet(w *workSet) { s.reduceSet(w, qbf.Forall) }
+
+// reduceSet removes every member of w whose quantifier is not keep and
+// which has no keep member in its scope. The block of each keep member and
+// the block's ancestors get this call's stamp; a walk stops at a block that
+// is already stamped, so marking costs one step per block. A member of the
+// other quantifier has a keep member in its scope exactly when its block is
+// stamped: its block is then an ancestor of the keep member's block, and
+// because the two quantifiers differ, an alternation separates them, so the
+// ancestor's prefix level is strictly smaller, as ≺ requires. The dropped
+// members are deleted in w.vars order.
+//
+//qbf:hotpath
+func (s *Solver) reduceSet(w *workSet, keep qbf.Quant) {
+	s.stampGen++
+	gen := s.stampGen
 	for _, v := range w.vars {
-		if s.quant[v] != qbf.Exists {
+		if s.quant[v] != keep {
 			continue
 		}
-		keep := false
-		for _, y := range w.vars {
-			if s.quant[y] == qbf.Forall && s.before(v, y) {
-				keep = true
-				break
-			}
+		for b := s.blockOf[v]; b >= 0 && s.blocks[b].stamp != gen; b = s.blocks[b].parent {
+			s.blocks[b].stamp = gen
 		}
-		if !keep {
+	}
+	drop := w.drop[:0]
+	for _, v := range w.vars {
+		if s.quant[v] != keep && s.blocks[s.blockOf[v]].stamp != gen {
 			drop = append(drop, v)
 		}
 	}
 	for _, v := range drop {
 		w.del(v)
 	}
+	w.drop = drop
 	if len(drop) > 0 {
-		s.emitEv(telemetry.KindReduce, 0, int64(len(drop)), 1)
+		kind := int64(0) // universal reduction of a clause
+		if keep == qbf.Forall {
+			kind = 1 // existential reduction of a cube
+		}
+		s.emitEv(telemetry.KindReduce, 0, int64(len(drop)), kind)
 	}
 }
 
@@ -349,35 +347,35 @@ func (s *Solver) coverCube(w *workSet) {
 }
 
 // coverClause extends the cover w to the original clause ci, choosing the
-// best true literal by the (class, pure, dlevel) key.
+// best true literal by the (class, pure, dlevel) key. A true literal that
+// is statically reducible or already in w ends the scan: either way the
+// clause adds nothing to the cover.
 func (s *Solver) coverClause(w *workSet, ci int) {
-	if s.ar.learned(ci) || s.ar.deleted(ci) {
-		return
-	}
-	covered := false
 	var best qbf.Lit
-	bestKey := [3]int{3, 2, int(^uint(0) >> 1)} // (class, pure, dlevel); lower wins
+	bestKey := [3]int{2, 2, int(^uint(0) >> 1)} // (class, pure, dlevel); lower wins
 	for k, n := 0, s.ar.size(ci); k < n; k++ {
 		l := s.ar.lit(ci, k)
 		if s.litValue(l) != vTrue {
 			continue
 		}
-		if w.get(l.Var()) == l {
-			covered = true
-			break
+		if s.eReducible[l.Var()] || w.get(l.Var()) == l {
+			// Either w already covers the clause, or a statically
+			// reducible existential would be chosen — and adding it then
+			// existential-reducing would delete it again (no universal
+			// can follow it), so the insertion is skipped: the resulting
+			// set equals the reduction of a genuine cover and is
+			// therefore a sound good.
+			return
 		}
-		// Preference classes: statically reducible existentials never
-		// survive the reduction; other existentials may be deleted by
-		// the set-level reduction; universal literals never are.
-		// Within a class, avoid pure-assigned literals — their
-		// decision level is an artifact of when purity was detected,
-		// often far deeper than the variable's prefix position, and
-		// it poisons the backjump level of the learned good.
-		class := 1
-		if s.eReducible[l.Var()] {
-			class = 0
-		} else if s.quant[l.Var()] == qbf.Forall {
-			class = 2
+		// Preference classes: existentials may be deleted by the
+		// set-level reduction; universal literals never are. Within a
+		// class, avoid pure-assigned literals — their decision level is
+		// an artifact of when purity was detected, often far deeper than
+		// the variable's prefix position, and it poisons the backjump
+		// level of the learned good.
+		class := 0
+		if s.quant[l.Var()] == qbf.Forall {
+			class = 1
 		}
 		pure := 0
 		if s.reason[l.Var()] == reasonPure {
@@ -390,18 +388,8 @@ func (s *Solver) coverClause(w *workSet, ci int) {
 			best, bestKey = l, key
 		}
 	}
-	if covered {
-		return
-	}
 	if best == qbf.NoLit {
 		invariant.Violated("core: coverCube called with an unsatisfied original clause")
-	}
-	if s.eReducible[best.Var()] {
-		// Adding best and then existential-reducing would delete it
-		// again (no universal can follow it), so skip the insertion;
-		// the resulting set equals the reduction of a genuine cover
-		// and is therefore a sound good.
-		return
 	}
 	w.add(best)
 }
@@ -456,7 +444,6 @@ func (s *Solver) cubeVerdict(w *workSet) (analysis, bool) {
 		}
 		anyU = true
 		if s.value[v] == undef {
-			s.dbgCube[0]++
 			return analysis{}, false
 		}
 		dl := s.dlevel[v]
@@ -476,7 +463,6 @@ func (s *Solver) cubeVerdict(w *workSet) (analysis, bool) {
 		return analysis{terminal: true}, true
 	}
 	if !unique {
-		s.dbgCube[1]++
 		return analysis{}, false
 	}
 	blevel := 0
@@ -487,7 +473,6 @@ func (s *Solver) cubeVerdict(w *workSet) (analysis, bool) {
 		}
 		switch s.litValue(l) {
 		case vFalse:
-			s.dbgCube[2]++
 			return analysis{}, false
 		case vTrue:
 			// Dual of the clause case: an existential literal with
@@ -504,13 +489,11 @@ func (s *Solver) cubeVerdict(w *workSet) (analysis, bool) {
 			// above): it must not block the dual unit rule on ustar after
 			// the backjump.
 			if s.before(v, ustar.Var()) {
-				s.dbgCube[3]++
 				return analysis{}, false
 			}
 		}
 	}
 	if blevel >= lambda {
-		s.dbgCube[4]++
 		return analysis{}, false
 	}
 	return analysis{asserting: true, lits: w.slice(), force: ustar.Neg(), blevel: blevel}, true

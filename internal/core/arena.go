@@ -19,20 +19,21 @@ import (
 //
 //	word 0   size | flags (isCube, learned, deleted in the top bits)
 //	word 1   activity as float32 bits
-//	word 2   numTrue — literals currently true
+//	word 2   sat     — satisfaction tag of an original clause
 //	word 3   frame   — deepest assumption frame the constraint depends on
-//	word 4-5 reserved (zero; freed by the counter-engine removal, kept so
-//	         the byte model of the memory governor stays unchanged)
 //
-// numTrue is maintained for original clauses only (it drives the
-// residual-matrix bookkeeping behind pure-literal fixing and the
-// empty-matrix solution test). The propagation engine keeps its state in
-// the literal order instead: positions 0 and 1 of every constraint are its
-// two watched literals (watch.go). frame is 0 outside incremental
-// sessions; within one, an original clause carries the depth of the frame
-// that added it and a learned clause the deepest frame its derivation
-// resolved with, so popping a frame can drop exactly the constraints that
-// cited it (incremental.go).
+// sat is maintained for original clauses only and is 0 on learned
+// constraints. It is 0 while the clause is in the residual matrix (no
+// dequeued literal of it is true); otherwise it is one plus the trail
+// position of the literal whose dequeue satisfied it, so unwinding the
+// trail past that position returns the clause to the matrix (watch.go,
+// Solver.satStack). The propagation engine keeps its state in the literal
+// order instead: positions 0 and 1 of every constraint are its two watched
+// literals (watch.go). frame is 0 outside incremental sessions; within
+// one, an original clause carries the depth of the frame that added it and
+// a learned clause the deepest frame its derivation resolved with, so
+// popping a frame can drop exactly the constraints that cited it
+// (incremental.go).
 //
 // Construction-time original clauses form a fixed prefix of the region
 // ([0, Solver.origEnd)): they are never deleted and never move, so their
@@ -41,11 +42,11 @@ import (
 // compacted in place when enough of them have been deleted; compaction
 // returns an (old ref → new ref) mapping which the solver applies to every
 // ref-holding structure (occurrence lists, watcher lists, trail reasons,
-// wake queue, frame clause lists).
+// wake queue, frame clause lists, the satisfied-clause stack).
 const (
-	hdrWords = 6
+	hdrWords = 4
 	offAct   = 1
-	offTrue  = 2
+	offSat   = 2
 	offFrame = 3
 
 	flagCube    = uint32(1) << 31
@@ -72,7 +73,7 @@ func (a *arena) alloc(lits []qbf.Lit, isCube, learned bool) int {
 	if learned {
 		hdr |= flagLearned
 	}
-	a.d = append(a.d, hdr, math.Float32bits(1), 0, 0, 0, 0)
+	a.d = append(a.d, hdr, math.Float32bits(1), 0, 0)
 	for _, l := range lits {
 		a.d = append(a.d, uint32(int32(l)))
 	}
@@ -117,7 +118,10 @@ func (a *arena) setActivity(ci int, v float64) {
 
 func (a *arena) bumpActivity(ci int) { a.setActivity(ci, a.activity(ci)+1) }
 
-// frame is the assumption-frame tag (see the layout comment above).
+// sat is the satisfaction tag of an original clause and frame the
+// assumption-frame tag (see the layout comment above).
+func (a *arena) sat(ci int) int     { return int(a.d[ci+offSat]) }
+func (a *arena) setSat(ci, t int)   { a.d[ci+offSat] = uint32(t) }
 func (a *arena) frame(ci int) int   { return int(a.d[ci+offFrame]) }
 func (a *arena) setFrame(ci, f int) { a.d[ci+offFrame] = uint32(f) }
 

@@ -80,8 +80,3 @@ func (s *Solver) debugCountUniversals() (assigned, total int) {
 	}
 	return assigned, total
 }
-
-// DebugCubeFailures returns counters of why cube verdicts were
-// non-asserting: [undef-universal, non-unique-deepest, false-literal,
-// blocking-existential, blevel>=lambda].
-func (s *Solver) DebugCubeFailures() [5]int64 { return s.dbgCube }

@@ -50,8 +50,9 @@ func (s *Solver) attachInvariantPrefix(p *qbf.Prefix) {
 
 // deepCheck recomputes the solver's incremental state from scratch and
 // panics (via invariant.Violated) on any mismatch. It is called at every
-// propagation fixpoint — between decisions — so all counter effects of the
-// trail have been applied (qhead == len(trail)).
+// propagation fixpoint — between decisions — so every trail literal has
+// been dequeued and its residual-matrix effects applied (qhead ==
+// len(trail)).
 func (s *Solver) deepCheck() {
 	if !s.opt.CheckInvariants || s.trivial != Unknown {
 		return
@@ -161,25 +162,48 @@ func (s *Solver) checkBlockBookkeeping() {
 	}
 }
 
+// checkConstraintCounters validates the satisfied-clause bookkeeping of
+// the original clauses: each one's satisfaction tag is one plus the
+// smallest trail position among its true literals (0 when it has none; at
+// a fixpoint every trail literal has been dequeued), and satStack holds
+// exactly the tagged clauses, in non-decreasing tag order. In incremental
+// sessions the originals added at runtime live past origEnd with the
+// learned flag off and are held to the same invariant; learned constraints
+// carry no tag at all.
 func (s *Solver) checkConstraintCounters() {
-	// numTrue is maintained on original clauses only — the residual-matrix
-	// bookkeeping behind pure-literal fixing. In incremental sessions the
-	// originals added at runtime live past origEnd with the learned flag
-	// off and are held to the same invariant; learned constraints carry no
-	// counters at all.
+	tagged := 0
 	for ci := 0; ci < s.ar.end(); ci = s.ar.next(ci) {
-		if s.ar.deleted(ci) || s.ar.learned(ci) {
+		if s.ar.deleted(ci) {
 			continue
 		}
-		nt := 0
-		for k, n := 0, s.ar.size(ci); k < n; k++ {
-			if s.litValue(s.ar.lit(ci, k)) == vTrue {
-				nt++
+		want := 0
+		if !s.ar.learned(ci) {
+			for k, n := 0, s.ar.size(ci); k < n; k++ {
+				l := s.ar.lit(ci, k)
+				if p := s.trailPos[l.Var()]; s.litValue(l) == vTrue && (want == 0 || p+1 < want) {
+					want = p + 1
+				}
 			}
 		}
-		invariant.Check(nt == int(s.ar.d[ci+offTrue]),
-			"core: constraint %d counters stale: cached true=%d, recomputed %d",
-			ci, s.ar.d[ci+offTrue], nt)
+		if want != 0 {
+			tagged++
+		}
+		invariant.Check(s.ar.sat(ci) == want,
+			"core: constraint %d satisfaction tag stale: cached %d, recomputed %d", ci, s.ar.sat(ci), want)
+	}
+	invariant.Check(len(s.satStack) == tagged,
+		"core: satStack holds %d clauses, but %d originals are satisfied", len(s.satStack), tagged)
+	seen := make(map[int32]bool, len(s.satStack))
+	prev := 0
+	for i, ci := range s.satStack {
+		invariant.Check(int(ci) < s.ar.end() && !s.ar.deleted(int(ci)) && !s.ar.learned(int(ci)),
+			"core: satStack[%d]=%d is not a live original clause", i, ci)
+		invariant.Check(!seen[ci], "core: satStack holds clause %d twice", ci)
+		seen[ci] = true
+		tag := s.ar.sat(int(ci))
+		invariant.Check(tag >= prev,
+			"core: satStack out of tag order: satStack[%d]=%d has tag %d after tag %d", i, ci, tag, prev)
+		prev = tag
 	}
 }
 

@@ -60,8 +60,27 @@ func TestDeepCheckAcceptsHealthyState(t *testing.T) {
 
 func TestDeepCheckCatchesCounterCorruption(t *testing.T) {
 	s := debugSolver(t)
-	s.ar.d[0+offTrue]++ // ref 0 is the first original clause
-	wantViolation(t, "counters stale", func() { s.deepCheck() })
+	s.ar.setSat(0, s.ar.sat(0)+1) // ref 0 is the first original clause
+	wantViolation(t, "satisfaction tag stale", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesSatStackDisorder(t *testing.T) {
+	s := debugSolver(t)
+	// x1 satisfies (x1 ∨ x2) at trail position 0; ¬x2 satisfies
+	// (¬x2 ∨ ¬y3 ∨ ¬x4) at position 1. Each decision is propagated to its
+	// fixpoint, so the stack holds the two clauses tagged 1 and 2.
+	for _, l := range []qbf.Lit{1, -2} {
+		s.decide(l)
+		if ev, _ := s.propagateAll(); ev != evNone {
+			t.Fatalf("decision %d raised event %d", l, ev)
+		}
+	}
+	s.deepCheck() // healthy
+	if len(s.satStack) != 2 {
+		t.Fatalf("satStack holds %d clauses, want 2", len(s.satStack))
+	}
+	s.satStack[0], s.satStack[1] = s.satStack[1], s.satStack[0]
+	wantViolation(t, "out of tag order", func() { s.deepCheck() })
 }
 
 func TestDeepCheckCatchesPhantomAssignment(t *testing.T) {

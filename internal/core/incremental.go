@@ -228,29 +228,32 @@ func (s *Solver) Assume(lits ...qbf.Lit) error {
 // installRuntimeClause installs a validated, universally reduced clause as
 // a runtime original: into the arena (learned flag off, tagged with its
 // frame depth), the occurrence and heuristic counters, the residual-matrix
-// bookkeeping, the watcher tables, and the wake queue. numTrue counts only
-// literals the propagation engine has dequeued — satWalk will count the
-// pending ones when they drain — so the clause's counters stay symmetric
-// with undoSat from the first moment.
+// bookkeeping, the watcher tables, and the wake queue. Only literals the
+// propagation engine has dequeued satisfy the clause here — satWalk takes
+// it out of the matrix when a pending one drains. A clause that an older
+// dequeued root literal already satisfies gets that literal's satisfaction
+// tag and enters satStack at its sorted place, so the unwind that pops the
+// literal returns the clause to the matrix.
 func (s *Solver) installRuntimeClause(lits []qbf.Lit, depth int) int {
 	id := s.ar.alloc(lits, false, false)
 	s.ar.setFrame(id, depth)
 	s.nOriginalClauses++
-	nt := 0
+	tag := 0
 	for _, l := range lits {
 		li := litIdx(l)
 		s.occ[li] = append(s.occ[li], int32(id))
 		s.counter[li]++
-		if s.litValue(l) == vTrue && s.trailPos[l.Var()] < s.qhead {
-			nt++
+		if p := s.trailPos[l.Var()]; s.litValue(l) == vTrue && p < s.qhead && (tag == 0 || p+1 < tag) {
+			tag = p + 1
 		}
 	}
-	s.ar.d[id+offTrue] = uint32(nt)
-	if nt == 0 {
+	if tag == 0 {
 		s.numUnsatOriginal++
 		for _, l := range lits {
 			s.activeOcc[litIdx(l)]++
 		}
+	} else {
+		s.satInsert(id, tag)
 	}
 	s.initWatches(id)
 	s.wakeRefs = append(s.wakeRefs, id)
@@ -263,12 +266,15 @@ func (s *Solver) installRuntimeClause(lits []qbf.Lit, depth int) int {
 }
 
 // removeOriginalClause retracts a runtime original: the inverse of
-// installRuntimeClause. Occurrence refs are removed eagerly — satWalk and
-// undoSat iterate occurrence lists without testing the deleted flag —
-// while watcher entries are dropped lazily like any deleted constraint's.
+// installRuntimeClause. Occurrence refs are removed eagerly — satWalk
+// iterates occurrence lists without testing the deleted flag — and so is
+// the clause's satStack entry, which keeps its place in tag order; watcher
+// entries are dropped lazily like any deleted constraint's.
 func (s *Solver) removeOriginalClause(ci int) {
 	n := s.ar.size(ci)
-	if s.ar.d[ci+offTrue] == 0 {
+	if s.ar.sat(ci) != 0 {
+		s.satRemove(ci)
+	} else {
 		// The clause was part of the residual matrix; it leaves it.
 		s.numUnsatOriginal--
 		for k := 0; k < n; k++ {

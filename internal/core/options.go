@@ -110,10 +110,11 @@ type Options struct {
 	// prefix tree is validated (structural well-formedness, algebraic laws
 	// of ≺, agreement of the solver's O(1) order test with Prefix.Before),
 	// and at every propagation fixpoint the trail, the per-block
-	// bookkeeping and all constraint counters are recomputed from scratch
-	// and compared. Violations panic via invariant.Violated. The checks
-	// are compiled only under the qbfdebug build tag; without the tag this
-	// flag is a no-op, so production binaries pay nothing.
+	// bookkeeping and the residual-matrix state of the original clauses
+	// are recomputed from scratch and compared. Violations panic via
+	// invariant.Violated. The checks are compiled only under the qbfdebug
+	// build tag; without the tag this flag is a no-op, so production
+	// binaries pay nothing.
 	CheckInvariants bool
 
 	// Telemetry, when non-nil, receives a structured event stream from the

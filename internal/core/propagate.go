@@ -328,10 +328,11 @@ func (s *Solver) dropLearned(ci int) {
 // compactLearned slides the live learned constraints over the deleted ones
 // (construction-time originals never move), then rebinds every structure
 // holding arena refs: occurrence lists, watcher lists, the trail reasons,
-// the incremental wake queue, and the per-frame clause lists. Deleted refs
-// are purged from the lists first — after compaction their targets no
-// longer exist. Callers must ensure no conflict/solution event is pending
-// (the same safe-point contract as reduceDBNow).
+// the incremental wake queue, the per-frame clause lists, and the
+// satisfied-clause stack. Deleted refs are purged from the lists first —
+// after compaction their targets no longer exist. Callers must ensure no
+// conflict/solution event is pending (the same safe-point contract as
+// reduceDBNow).
 func (s *Solver) compactLearned() {
 	reclaimed := s.ar.wasted
 	for i := range s.occ {
@@ -408,6 +409,12 @@ func (s *Solver) compactLearned() {
 		}
 		for i := range s.runtimeOrig {
 			s.runtimeOrig[i] = int(rebind(int32(s.runtimeOrig[i]), olds, news))
+		}
+		// satStack holds live originals only (removeOriginalClause drops
+		// entries eagerly), and compaction keeps their tags, so the stack
+		// stays sorted.
+		for i := range s.satStack {
+			s.satStack[i] = rebind(s.satStack[i], olds, news)
 		}
 	}
 	s.emitEv(telemetry.KindReduce, 0, int64(reclaimed), 2)

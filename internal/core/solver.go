@@ -37,11 +37,13 @@ type blockInfo struct {
 	quant      qbf.Quant
 	level      int
 	vars       []qbf.Var
-	children   []int // child blocks in the quantifier tree
-	guards     []int // blocks whose variables all ≺ ours (alternation-separated ancestors)
-	dependents []int // inverse of guards
-	unassigned int   // unassigned variables in this block
-	guardOpen  int   // number of guards with unassigned > 0
+	parent     int    // enclosing block in the quantifier tree; -1 for a root
+	children   []int  // child blocks in the quantifier tree
+	guards     []int  // blocks whose variables all ≺ ours (alternation-separated ancestors)
+	dependents []int  // inverse of guards
+	unassigned int    // unassigned variables in this block
+	guardOpen  int    // number of guards with unassigned > 0
+	stamp      uint64 // last reduction that marked this block (reduceSet)
 }
 
 // Solver is a QCDCL engine over a (possibly non-prenex) QBF.
@@ -71,12 +73,19 @@ type Solver struct {
 	learnedCubes     int
 
 	// occ: literal index → refs of the original clauses containing that
-	// literal (the residual-matrix walk); learned constraints are reached
-	// through the watcher lists instead. Under Options.Incremental,
-	// clauses added at runtime join these lists on AddClause and are
-	// eagerly removed again when their frame pops — satWalk/undoSat do not
-	// test the deleted flag.
+	// literal (satWalk's residual-matrix walk on every dequeued literal);
+	// learned constraints are reached through the watcher lists instead.
+	// Under Options.Incremental, clauses added at runtime join these lists
+	// on AddClause and are eagerly removed again when their frame pops —
+	// satWalk does not test the deleted flag.
 	occ [][]int32
+
+	// satStack holds the refs of the original clauses that have left the
+	// residual matrix, in non-decreasing order of their satisfaction tags
+	// (arena.go): satWalk pushes a clause when the first literal of it is
+	// dequeued true, and unwinding the trail pops every clause whose
+	// satisfying literal it removes, without walking occurrence lists.
+	satStack []int32
 
 	// Watcher lists, keyed by the literal whose assignment triggers the
 	// visit; see watch.go.
@@ -142,9 +151,8 @@ type Solver struct {
 	runtimeOrig []int
 	opDirty     bool
 
-	ws workSet // reusable analysis working set
-
-	dbgCube [5]int64
+	ws       workSet // reusable analysis working set
+	stampGen uint64  // last reduceSet generation; block stamps compare against it
 
 	// dbgPrefix retains the finalized input prefix for the deep invariant
 	// checker; nil unless built with -tags qbfdebug and CheckInvariants on.
@@ -251,7 +259,11 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 			quant:      b.Quant,
 			level:      b.Level(),
 			vars:       append([]qbf.Var(nil), b.Vars...),
+			parent:     -1,
 			unassigned: len(b.Vars),
+		}
+		if b.Parent() != nil {
+			bi.parent = b.Parent().ID()
 		}
 		for _, c := range b.Children {
 			bi.children = append(bi.children, c.ID())
@@ -580,8 +592,8 @@ func (s *Solver) decide(l qbf.Lit) {
 }
 
 // assign makes l true at the current decision level. It only records the
-// assignment; constraint counters are updated when the literal is dequeued
-// by propagateAll.
+// assignment; the residual matrix and the watches are updated when the
+// literal is dequeued by propagateAll.
 func (s *Solver) assign(l qbf.Lit, why reasonKind, reasonCon int) {
 	v := l.Var()
 	if s.value[v] != undef {
@@ -637,17 +649,16 @@ func (s *Solver) backtrack(target int) {
 }
 
 // unwindTrail pops trail entries down to (exclusive) position end, undoing
-// every per-literal effect: the residual-matrix counters of dequeued
-// literals, pure-candidate requeueing, and the block bookkeeping. It is the
-// shared inner loop of backtrack and of the incremental frame operations,
-// which unwind within level 0 (incremental.go).
+// every per-literal effect: the original clauses the popped literals
+// satisfied return to the residual matrix, pure candidates are requeued,
+// and the block bookkeeping is restored. It is the shared inner loop of
+// backtrack and of the incremental frame operations, which unwind within
+// level 0 (incremental.go).
 func (s *Solver) unwindTrail(end int) {
+	s.unsatisfyFrom(end)
 	for i := len(s.trail) - 1; i >= end; i-- {
 		l := s.trail[i]
 		v := l.Var()
-		if i < s.qhead {
-			s.undoSat(l)
-		}
 		if s.reason[v] == reasonPure {
 			// The variable may still be pure at the outer level;
 			// re-candidate it so fixPures reconsiders it.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sort"
+
 	"repro/internal/qbf"
 )
 
@@ -81,32 +84,71 @@ func (s *Solver) propagateWatched() (event, int) {
 	return evNone, -1
 }
 
-// satWalk updates numTrue over the original clauses containing l (the
-// watcher-engine occurrence lists hold originals only) and reports whether
-// the residual matrix became empty — the base-case solution. undoSat is the
-// backtracking inverse.
+// satWalk takes the original clauses containing l (the watcher-engine
+// occurrence lists hold originals only) that are still in the residual
+// matrix out of it: each is tagged with one plus l's trail position and
+// pushed on satStack, so the stack stays sorted by tag. It reports whether
+// the residual matrix became empty — the base-case solution.
+// unsatisfyFrom is the backtracking inverse.
 //
 //qbf:hotpath
 func (s *Solver) satWalk(l qbf.Lit) bool {
+	tag := 1 + s.trailPos[l.Var()]
 	for _, ci32 := range s.occ[litIdx(l)] {
 		ci := int(ci32)
-		s.ar.d[ci+offTrue]++
-		if s.ar.d[ci+offTrue] == 1 {
+		if s.ar.sat(ci) == 0 {
+			s.ar.setSat(ci, tag)
+			s.satStack = append(s.satStack, ci32)
 			s.clauseSatisfied(ci)
 		}
 	}
 	return s.numUnsatOriginal == 0
 }
 
+// unsatisfyFrom returns to the residual matrix every original clause that
+// a literal at trail position end or later satisfied — the satStack suffix
+// tagged above end — before the trail is cut to end. Backtracking thus
+// costs one step per clause that re-enters the matrix and walks no
+// occurrence list. clauseUnsatisfied only increments counters, so the pop
+// order does not matter.
+//
 //qbf:hotpath
-func (s *Solver) undoSat(l qbf.Lit) {
-	for _, ci32 := range s.occ[litIdx(l)] {
-		ci := int(ci32)
-		s.ar.d[ci+offTrue]--
-		if s.ar.d[ci+offTrue] == 0 {
-			s.clauseUnsatisfied(ci)
+func (s *Solver) unsatisfyFrom(end int) {
+	st := s.satStack
+	for len(st) > 0 {
+		ci := int(st[len(st)-1])
+		if s.ar.sat(ci) <= end {
+			break
 		}
+		s.ar.setSat(ci, 0)
+		s.clauseUnsatisfied(ci)
+		st = st[:len(st)-1]
 	}
+	s.satStack = st
+}
+
+// satInsert tags the original clause ci, which a literal already dequeued
+// satisfies, and inserts it into satStack after every clause with a tag up
+// to its own, keeping the stack sorted.
+func (s *Solver) satInsert(ci, tag int) {
+	s.ar.setSat(ci, tag)
+	s.satStack = slices.Insert(s.satStack, s.satSearch(tag+1), int32(ci))
+}
+
+// satRemove deletes the tagged original clause ci from satStack, keeping
+// the order of the others.
+func (s *Solver) satRemove(ci int) {
+	i := s.satSearch(s.ar.sat(ci))
+	for s.satStack[i] != int32(ci) { // ci is present: an index panic here is a bookkeeping bug
+		i++
+	}
+	s.satStack = slices.Delete(s.satStack, i, i+1)
+}
+
+// satSearch returns the first satStack index whose clause's satisfaction
+// tag is at least tag (len(satStack) if none is).
+func (s *Solver) satSearch(tag int) int {
+	return sort.Search(len(s.satStack), func(i int) bool { return s.ar.sat(int(s.satStack[i])) >= tag })
 }
 
 // visitClauseWatches processes the clauses watching l.Neg(), which l just

@@ -38,8 +38,13 @@
 #                          fault-injection stress under -tags qbfdebug
 #                          -race with the deep checker's watcher
 #                          invariants armed; any verdict disagreement
-#                          against the oracle fails. The same tests also
-#                          run inside steps 6-7; this step names them so a
+#                          against the oracle fails. Also the
+#                          block-marking reductions against the pairwise
+#                          definition of universal/existential reduction
+#                          on random tree and prenex prefixes: any
+#                          difference in the dropped literals or their
+#                          order fails. The same tests also run inside
+#                          steps 6-7; this step names them so a
 #                          search-soundness failure is unmistakable — see
 #                          DESIGN.md §7 and §12)
 #  10. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
@@ -118,7 +123,7 @@ go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal
 
 echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher invariants)"
 go test -tags qbfdebug -race -count=1 \
-    -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection' \
+    -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise' \
     ./internal/core/
 
 echo "==> go test -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/"
