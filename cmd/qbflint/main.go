@@ -7,22 +7,19 @@
 //	qbflint [flags] [patterns...]
 //
 // Patterns are ./... (recursive), directories, or .go files; the default
-// is ./... from the current directory. Every pattern is type-checked with
-// go/types before the rules run, so the typed rules (L9-L12) see real
-// type information. Exit status: 0 when clean, 1 when findings were
-// reported, 2 on usage or processing errors. Warnings (//lint:allow
-// directives naming unknown rules) go to stderr and do not affect the
-// exit status.
+// is ./... from the current directory. Every rule runs, and every pattern
+// is type-checked with go/types under each build-tag variant before the
+// rules run, so the typed rules (L10, L12, L15) see real type
+// information. Exit status: 0 when clean, 1 when findings were reported,
+// 2 on usage or processing errors. Warnings (//lint:allow directives
+// naming unknown rules) go to stderr and do not affect the exit status.
 //
 // Flags:
 //
 //	-json            emit the report as JSON ({"findings":[...],"warnings":[...]})
-//	-list            list the available rules and exit
-//	-enable  L1,L2   run only the named rules
-//	-disable L3      drop the named rules from the set
+//	-list            list the rules and exit
 //	-gate hotpath    run the L13 allocation gate over the pattern dirs
 //	                 instead of the lint rules (see internal/lint/escape)
-//	-gcflags flags   compiler flags for the gate build (default "-m -m")
 package main
 
 import (
@@ -31,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 	"repro/internal/lint/escape"
@@ -45,11 +41,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("qbflint", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	jsonOut := fl.Bool("json", false, "emit the report as JSON")
-	list := fl.Bool("list", false, "list available rules and exit")
-	enable := fl.String("enable", "", "comma-separated rules to run (default: all)")
-	disable := fl.String("disable", "", "comma-separated rules to skip")
+	list := fl.Bool("list", false, "list the rules and exit")
 	gate := fl.String("gate", "", `run a compiler-assisted gate instead of the lint rules ("hotpath")`)
-	gcflags := fl.String("gcflags", "", `compiler flags for -gate hotpath (default "-m -m")`)
 	if err := fl.Parse(argv); err != nil {
 		return 2
 	}
@@ -72,7 +65,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "":
 		// fall through to the lint rules below
 	case "hotpath":
-		return runGate(fl.Args(), runner.ModuleRoot, *gcflags, *jsonOut, stdout, stderr)
+		return runGate(fl.Args(), runner.ModuleRoot, *jsonOut, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "qbflint: unknown gate %q (have: hotpath)\n", *gate)
 		return 2
@@ -82,12 +75,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	runner.Rules = lint.RulesByName(splitList(*enable), splitList(*disable))
-	if len(runner.Rules) == 0 {
-		fmt.Fprintln(stderr, "qbflint: no rules selected")
-		return 2
-	}
-
 	report, err := runner.Run(patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "qbflint:", err)
@@ -124,12 +111,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // runGate executes the L13 hot-path allocation gate over the given
 // package directories. Exit status mirrors the lint mode: 0 clean (or
 // skipped with a stderr warning), 1 on violations, 2 on errors.
-func runGate(dirs []string, moduleRoot, gcflags string, jsonOut bool, stdout, stderr io.Writer) int {
+func runGate(dirs []string, moduleRoot string, jsonOut bool, stdout, stderr io.Writer) int {
 	if len(dirs) == 0 {
 		fmt.Fprintln(stderr, "qbflint: -gate hotpath needs package directories (e.g. ./internal/core)")
 		return 2
 	}
-	rep, err := escape.Gate(dirs, escape.Config{ModuleRoot: moduleRoot, Gcflags: gcflags})
+	rep, err := escape.Gate(dirs, escape.Config{ModuleRoot: moduleRoot})
 	if err != nil {
 		fmt.Fprintln(stderr, "qbflint:", err)
 		return 2
@@ -156,17 +143,4 @@ func runGate(dirs []string, moduleRoot, gcflags string, jsonOut bool, stdout, st
 	fmt.Fprintf(stderr, "qbflint: hotpath gate: %d annotated function(s) clean (%d compiler diagnostics inspected)\n",
 		len(rep.Funcs), rep.Diagnostics)
 	return 0
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

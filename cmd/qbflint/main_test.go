@@ -131,7 +131,7 @@ func TestListIncludesGateRule(t *testing.T) {
 		t.Fatalf("exit = %d", code)
 	}
 	out := stdout.String()
-	for _, rule := range []string{"L1", "L9", "L10", "L11", "L12", "L13"} {
+	for _, rule := range []string{"L1", "L10", "L12", "L13", "L15"} {
 		if !strings.Contains(out, rule+"  ") {
 			t.Fatalf("-list output missing %s:\n%s", rule, out)
 		}

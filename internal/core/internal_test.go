@@ -164,34 +164,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestDebugHelpers(t *testing.T) {
-	q := hardishQBF()
-	s, err := NewSolver(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	s.SetDebugSolutionHook(func(a, tot int) {
-		if a < 0 || a > tot {
-			t.Errorf("bad hook values %d/%d", a, tot)
-		}
-		events++
-	})
-	s.Solve(context.Background())
-	cl, cu := s.DebugLearnedSizes()
-	for sz := range cl {
-		if sz <= 0 {
-			t.Errorf("clause histogram has size %d", sz)
-		}
-	}
-	for sz := range cu {
-		if sz <= 0 {
-			t.Errorf("cube histogram has size %d", sz)
-		}
-	}
-	_ = s.DebugSampleCubes(3)
-}
-
 func TestNewSolverRejectsBadInput(t *testing.T) {
 	// Scope-inconsistent: a clause spanning incomparable subtrees.
 	p := qbf.NewPrefix(5)

@@ -158,12 +158,10 @@ type Solver struct {
 	// checker; nil unless built with -tags qbfdebug and CheckInvariants on.
 	dbgPrefix *qbf.Prefix
 
-	deadline          time.Time
-	cancelCh          <-chan struct{} // context Done channel; nil when uncancellable
-	learnedBytes      int64           // estimated bytes held by live learned constraints
-	trace             func(string)
-	learnHook         func(lits []qbf.Lit, isCube bool)
-	debugSolutionHook func(assignedU, totalU int)
+	deadline     time.Time
+	cancelCh     <-chan struct{} // context Done channel; nil when uncancellable
+	learnedBytes int64           // estimated bytes held by live learned constraints
+	learnHook    func(lits []qbf.Lit, isCube bool)
 
 	// importHook, when non-nil, is polled at quiescent propagation
 	// fixpoints for constraints learned by sibling solvers (see share.go);
@@ -374,9 +372,6 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 	return s, nil
 }
 
-// SetTrace installs a debug trace callback (nil to disable).
-func (s *Solver) SetTrace(f func(string)) { s.trace = f }
-
 // SetLearnHook installs a callback invoked with every learned constraint
 // (clause or cube) as it is added. Test suites use it to audit the
 // soundness of the learning machinery against the semantic oracle.
@@ -533,9 +528,6 @@ func (s *Solver) solve() Verdict {
 		case evSolution:
 			s.stats.Solutions++
 			s.emitConstraintEv(telemetry.KindSolution, ci)
-			if s.debugSolutionHook != nil {
-				s.debugSolutionHook(s.debugCountUniversals())
-			}
 			if !s.handleSolution(ci) {
 				return True
 			}
@@ -586,9 +578,6 @@ func (s *Solver) decide(l qbf.Lit) {
 	s.levelStart = append(s.levelStart, len(s.trail))
 	s.assign(l, reasonDecision, -1)
 	s.emitEv(telemetry.KindDecision, s.plevel[l.Var()], int64(l), s.stats.Decisions)
-	if s.trace != nil {
-		s.trace(fmt.Sprintf("decide %d @%d", l, s.level)) //lint:allow L4 trace is nil on the hot path
-	}
 }
 
 // assign makes l true at the current decision level. It only records the

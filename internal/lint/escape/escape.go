@@ -69,10 +69,6 @@ type Report struct {
 type Config struct {
 	// ModuleRoot is the directory holding go.mod; go build runs there.
 	ModuleRoot string
-	// Gcflags is the compiler flag string enabling escape diagnostics
-	// (default "-m -m"). check.sh pins this so toolchain defaults cannot
-	// drift underneath the gate.
-	Gcflags string
 	// GoCmd is the go tool to invoke (default "go"); tests substitute a
 	// stub to exercise the drift-tolerant skip path.
 	GoCmd string
@@ -86,9 +82,6 @@ type Config struct {
 func Gate(dirs []string, cfg Config) (*Report, error) {
 	if cfg.ModuleRoot == "" {
 		return nil, fmt.Errorf("escape: ModuleRoot is required")
-	}
-	if cfg.Gcflags == "" {
-		cfg.Gcflags = "-m -m"
 	}
 	if cfg.GoCmd == "" {
 		cfg.GoCmd = "go"
@@ -212,14 +205,14 @@ func writeTypeExpr(b *strings.Builder, e ast.Expr) {
 	}
 }
 
-// compile builds the gated directories with the pinned escape-diagnostic
-// flags scoped to exactly those packages, returning the compiler's
-// stderr. A failed build is a hard error: the build gate owns
-// compilation, the escape gate must not mask it.
+// compile builds the gated directories with gcflags scoped to exactly
+// those packages, returning the compiler's stderr. A failed build is a
+// hard error: the build gate owns compilation, the escape gate must not
+// mask it.
 func compile(dirs []string, cfg Config) ([]byte, error) {
 	args := []string{"build", "-o", os.DevNull}
 	for _, dir := range dirs {
-		args = append(args, "-gcflags="+relPattern(dir)+"="+cfg.Gcflags)
+		args = append(args, "-gcflags="+relPattern(dir)+"="+gcflags)
 	}
 	for _, dir := range dirs {
 		args = append(args, relPattern(dir))
@@ -250,6 +243,10 @@ func truncate(s string, n int) string {
 	}
 	return s[:n] + "\n... (truncated)"
 }
+
+// gcflags turns on the escape diagnostics that scan parses: -m -m reports
+// every escape decision together with the flow that forced it.
+const gcflags = "-m -m"
 
 // diagLine matches one top-level compiler diagnostic. The message must
 // start with a non-space character: -m -m explanation traces repeat the

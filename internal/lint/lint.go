@@ -7,14 +7,12 @@
 // The driver expands a file set, groups it into per-package units, and
 // type-checks each unit under every project build-tag variant
 // (DefaultTagSets), so tag-gated files get the same coverage as the
-// default build. Rules come in three shapes: syntactic rules that only
-// read the AST (L1–L8, and the only coverage for files excluded under
-// every tag set), typed per-file rules that consult types.Info
-// (L10–L12), and module rules that see every unit at once (L9, whose
-// atomic-field discipline is inherently cross-package). Findings carry
-// file:line:col positions, deduplicate across tag passes, and sort
-// stably. A finding can be suppressed at its site with a comment of the
-// form
+// default build. Rules come in two shapes: syntactic rules that only
+// read the AST (L1–L8 and L14, and the only coverage for files excluded
+// under every tag set), and typed rules that also consult types.Info
+// (L10, L12 and L15). Findings carry file:line:col positions,
+// deduplicate across tag passes, and sort stably. A finding can be
+// suppressed at its site with a comment of the form
 //
 //	//lint:allow RULE[,RULE] optional reason
 //
@@ -110,30 +108,19 @@ type Rule interface {
 	Check(f *File, report func(pos token.Pos, msg string))
 }
 
-// moduleRule is implemented by rules that need the whole-module view:
-// CheckModule runs once per tag pass over every unit instead of
-// file-by-file. The per-file Check of such a rule is never called.
-type moduleRule interface {
-	Rule
-	CheckModule(units []*unit, report func(f *File, pos token.Pos, msg string))
-}
-
-// Runner parses files and applies rules.
+// Runner parses files and applies DefaultRules under every DefaultTagSets
+// variant.
 type Runner struct {
 	Fset       *token.FileSet
-	Rules      []Rule
 	ModulePath string // module path from go.mod ("" outside a module)
 	ModuleRoot string // directory containing go.mod
-	// TagSets lists the build-tag variants to type-check (nil means
-	// DefaultTagSets). Findings are deduplicated across variants.
-	TagSets [][]string
 
 	parsed map[string]*ast.File
 	allows map[string]*allowSet
 }
 
 // NewRunner locates the enclosing module of dir (walking upward to the
-// nearest go.mod) and returns a runner with the default rule set.
+// nearest go.mod) and returns a runner for it.
 func NewRunner(dir string) (*Runner, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -142,7 +129,6 @@ func NewRunner(dir string) (*Runner, error) {
 	root, modPath := findModule(abs)
 	return &Runner{
 		Fset:       token.NewFileSet(),
-		Rules:      DefaultRules(),
 		ModulePath: modPath,
 		ModuleRoot: root,
 		parsed:     map[string]*ast.File{},
@@ -196,14 +182,10 @@ func (r *Runner) Run(patterns []string) (Report, error) {
 		}
 	}
 
-	tagSets := r.TagSets
-	if tagSets == nil {
-		tagSets = DefaultTagSets()
-	}
 	seen := map[Finding]bool{}
 	covered := map[string]bool{}
 	var findings []Finding
-	for _, tags := range tagSets {
+	for _, tags := range DefaultTagSets() {
 		units := r.buildUnits(paths, tags)
 		for _, u := range units {
 			for _, f := range u.files {
@@ -234,34 +216,24 @@ func (r *Runner) Run(patterns []string) (Report, error) {
 // findings and deduplicating across tag passes via seen.
 func (r *Runner) checkUnits(units []*unit, seen map[Finding]bool) []Finding {
 	var out []Finding
-	record := func(rule string, f *File, pos token.Pos, msg string) {
-		p := r.Fset.Position(pos)
-		if f.Allowed(rule, p.Line) {
-			return
-		}
-		fd := Finding{Rule: rule, File: f.Path, Line: p.Line, Col: p.Column, Message: msg}
-		if seen[fd] {
-			return
-		}
-		seen[fd] = true
-		out = append(out, fd)
-	}
-	for _, rule := range r.Rules {
-		if mr, ok := rule.(moduleRule); ok {
-			name := rule.Name()
-			mr.CheckModule(units, func(f *File, pos token.Pos, msg string) {
-				record(name, f, pos, msg)
-			})
-			continue
-		}
+	for _, rule := range DefaultRules() {
+		name := rule.Name()
 		for _, u := range units {
 			for _, f := range u.files {
 				if !rule.Applies(f) {
 					continue
 				}
-				name := rule.Name()
 				rule.Check(f, func(pos token.Pos, msg string) {
-					record(name, f, pos, msg)
+					p := r.Fset.Position(pos)
+					if f.Allowed(name, p.Line) {
+						return
+					}
+					fd := Finding{Rule: name, File: f.Path, Line: p.Line, Col: p.Column, Message: msg}
+					if seen[fd] {
+						return
+					}
+					seen[fd] = true
+					out = append(out, fd)
 				})
 			}
 		}
@@ -493,8 +465,9 @@ func (r *Runner) allowSet(path string) *allowSet {
 func (r *Runner) allowWarnings(paths []string) []Finding {
 	known := map[string]bool{"all": true}
 	// The known list is enumerated by name, not as a contiguous "L1-LN"
-	// range: the rule numbers have a gap (L13 is the separate escape-gate
-	// analyzer, not an //lint:allow target), so a range would misadvertise.
+	// range: the rule numbers have gaps (L9 and L11 are unused, L13 is the
+	// separate escape-gate analyzer, not an //lint:allow target), so a
+	// range would misadvertise.
 	names := make([]string, 0, len(DefaultRules()))
 	for _, rule := range DefaultRules() {
 		known[rule.Name()] = true

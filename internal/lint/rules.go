@@ -21,41 +21,18 @@ import (
 //   - Test files and package main (cmd/, examples/) may panic and convert
 //     freely: they are not library code.
 
-// DefaultRules returns all rules in canonical order. L1-L8 and L14 are
-// syntactic; L9-L12 and L15 (rules_typed.go) consult type information.
-// L13 is the allocation escape gate, a separate compiler-assisted
-// analyzer.
+// DefaultRules returns the rules the driver runs, in canonical order.
+// L1-L8 and L14 are syntactic; L10, L12 and L15 (rules_typed.go) consult
+// type information. L13 is the allocation escape gate, a separate
+// compiler-assisted analyzer. Copies of locks and atomics are left to go
+// vet's copylocks check, which scripts/check.sh runs under every
+// build-tag variant.
 func DefaultRules() []Rule {
 	return []Rule{
 		ruleTimestamps{}, ruleConversions{}, rulePanic{}, ruleStringBuild{},
 		ruleGoRecover{}, ruleCommentOpener{}, ruleDirectPrint{}, ruleContextRoot{},
-		ruleAtomicField{}, ruleCtxField{}, ruleLockCopy{}, ruleGoCancel{},
-		ruleSleepLoop{}, ruleFileSyncErr{},
+		ruleCtxField{}, ruleGoCancel{}, ruleSleepLoop{}, ruleFileSyncErr{},
 	}
-}
-
-// RulesByName filters the default set: enable lists the rules to keep
-// (empty = all), disable lists rules to drop.
-func RulesByName(enable, disable []string) []Rule {
-	keep := map[string]bool{}
-	for _, n := range enable {
-		keep[n] = true
-	}
-	drop := map[string]bool{}
-	for _, n := range disable {
-		drop[n] = true
-	}
-	var out []Rule
-	for _, r := range DefaultRules() {
-		if len(keep) > 0 && !keep[r.Name()] {
-			continue
-		}
-		if drop[r.Name()] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // unparen strips redundant parentheses.

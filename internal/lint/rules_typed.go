@@ -7,12 +7,11 @@ import (
 	"go/types"
 )
 
-// The typed rules (L9-L12) consult go/types information and therefore
-// guard on f.Info != nil in Applies: files excluded under every build-tag
-// set, or expressions the checker could not resolve (fixtures referencing
-// packages that do not exist), degrade to silence rather than false
-// positives. L9 is a module rule — atomic-field discipline is inherently
-// cross-package, so it sees every unit of a tag pass at once.
+// The typed rules (L10, L12, L15) consult go/types information and
+// therefore guard on f.Info != nil in Applies: files excluded under every
+// build-tag set, or expressions the checker could not resolve (fixtures
+// referencing packages that do not exist), degrade to silence rather than
+// false positives.
 
 // typeIsContext reports whether t is the context.Context interface type.
 func typeIsContext(t types.Type) bool {
@@ -31,123 +30,6 @@ func typeIsChan(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// fieldVar resolves a selector expression to the struct field it reads,
-// nil when it is not a field selection (package member, method, ...).
-func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	return s.Obj().(*types.Var)
-}
-
-// ---------------------------------------------------------------------------
-// L9: atomic-field discipline across the whole module.
-
-type ruleAtomicField struct{}
-
-func (ruleAtomicField) Name() string { return "L9" }
-func (ruleAtomicField) Doc() string {
-	return "a struct field passed to sync/atomic anywhere in the module must never be read or written plainly elsewhere; mixed access races (suppress pre-publication sites with //lint:allow L9)"
-}
-
-// Applies is never consulted for a module rule; it documents the scope.
-func (ruleAtomicField) Applies(f *File) bool { return f.Info != nil }
-
-// Check is unused: the driver routes module rules through CheckModule.
-func (ruleAtomicField) Check(*File, func(token.Pos, string)) {}
-
-// CheckModule runs two passes over every unit of the tag pass. Pass one
-// collects each struct field whose address is taken as the argument of a
-// sync/atomic function call — those fields are the exchange-ring
-// cursors, breaker counters, and metrics of this codebase — keyed by
-// declaration position so the same field matches across the separately
-// type-checked variants of its package. Pass two reports every other
-// selection of such a field in non-test code: a plain load or store
-// (including aliasing via a bare &f) races with the atomic accesses.
-// Composite-literal keys do not select and are deliberately not flagged:
-// keyed zero-initialization before publication is the idiomatic
-// constructor shape.
-func (ruleAtomicField) CheckModule(units []*unit, report func(*File, token.Pos, string)) {
-	atomicFields := map[string]string{} // field decl position → first atomic site
-	sanctioned := map[*ast.SelectorExpr]bool{}
-	fieldKey := func(fset *token.FileSet, v *types.Var) string {
-		return fset.Position(v.Pos()).String()
-	}
-
-	for _, u := range units {
-		if u.info == nil {
-			continue
-		}
-		for _, f := range u.files {
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fnSel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				fn, ok := u.info.Uses[fnSel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-					return true
-				}
-				for _, arg := range call.Args {
-					addr, ok := unparen(arg).(*ast.UnaryExpr)
-					if !ok || addr.Op != token.AND {
-						continue
-					}
-					sel, ok := unparen(addr.X).(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					v := fieldVar(u.info, sel)
-					if v == nil {
-						continue
-					}
-					key := fieldKey(f.Fset, v)
-					if _, dup := atomicFields[key]; !dup {
-						atomicFields[key] = fmt.Sprintf("atomic.%s at %s", fn.Name(), f.Fset.Position(call.Pos()))
-					}
-					sanctioned[sel] = true
-				}
-				return true
-			})
-		}
-	}
-	if len(atomicFields) == 0 {
-		return
-	}
-
-	for _, u := range units {
-		if u.info == nil {
-			continue
-		}
-		for _, f := range u.files {
-			if f.IsTest {
-				continue
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sanctioned[sel] {
-					return true
-				}
-				v := fieldVar(u.info, sel)
-				if v == nil {
-					return true
-				}
-				if site, hot := atomicFields[fieldKey(f.Fset, v)]; hot {
-					report(f, sel.Pos(), fmt.Sprintf(
-						"plain access to field %s, which is accessed via %s; mixed atomic/plain access races — use sync/atomic here too",
-						v.Name(), site))
-				}
-				return true
-			})
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -184,161 +66,10 @@ func (ruleCtxField) Check(f *File, report func(token.Pos, string)) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// L11: no copying of types containing sync.Mutex/WaitGroup/atomic values.
-
-type ruleLockCopy struct{}
-
-func (ruleLockCopy) Name() string { return "L11" }
-func (ruleLockCopy) Doc() string {
-	return "no copying of values whose type contains sync.Mutex/RWMutex/WaitGroup/Once/Cond or a sync/atomic type — by assignment, range, or by-value parameter/receiver"
-}
-
-// Applies everywhere outside tests, package main included: a copied
-// mutex in a cmd/ helper deadlocks exactly like one in a library.
-func (ruleLockCopy) Applies(f *File) bool {
-	return !f.IsTest && f.Info != nil
-}
-
-// lockPath describes the first synchronization primitive contained by
-// value in t ("" when none): the sync locks, anything declared in
-// sync/atomic (Int64, Bool, Value, Pointer[T], ...), and any struct or
-// array holding one. Pointers, slices, maps, and channels reference
-// rather than contain, so they end the search.
-func lockPath(t types.Type, seen map[types.Type]bool) string {
-	if t == nil {
-		return ""
-	}
-	t = types.Unalias(t)
-	if seen[t] {
-		return ""
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		if obj := t.Obj(); obj != nil && obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync":
-				switch obj.Name() {
-				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-					return "sync." + obj.Name()
-				}
-			case "sync/atomic":
-				return "atomic." + obj.Name()
-			}
-		}
-		if seen == nil {
-			seen = map[types.Type]bool{}
-		}
-		seen[t] = true
-		return lockPath(t.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			fld := t.Field(i)
-			if p := lockPath(fld.Type(), seen); p != "" {
-				return fld.Name() + " (" + p + ")"
-			}
-		}
-	case *types.Array:
-		return lockPath(t.Elem(), seen)
-	}
-	return ""
-}
-
 // isBlank reports whether e is the blank identifier.
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-// copyRead reports whether e reads an existing value such that using it
-// as an initializer or right-hand side copies it: a variable, field
-// selection, dereference, or element load. Composite literals and calls
-// construct fresh values and are excluded (matching vet's copylocks).
-func copyRead(f *File, e ast.Expr) bool {
-	e = unparen(e)
-	if tv, ok := f.Info.Types[e]; !ok || !tv.IsValue() {
-		return false
-	}
-	switch e := e.(type) {
-	case *ast.Ident:
-		_, ok := f.Info.Uses[e].(*types.Var)
-		return ok
-	case *ast.SelectorExpr:
-		if fieldVar(f.Info, e) != nil {
-			return true
-		}
-		_, ok := f.Info.Uses[e.Sel].(*types.Var)
-		return ok
-	case *ast.StarExpr, *ast.IndexExpr:
-		return true
-	}
-	return false
-}
-
-func (ruleLockCopy) Check(f *File, report func(token.Pos, string)) {
-	checkRHS := func(e ast.Expr) {
-		if !copyRead(f, e) {
-			return
-		}
-		if p := lockPath(f.TypeOf(e), nil); p != "" {
-			report(e.Pos(), fmt.Sprintf("assignment copies a value containing %s; copy the pointer instead", p))
-		}
-	}
-	checkParams := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			if p := lockPath(f.TypeOf(field.Type), nil); p != "" {
-				pos := field.Type.Pos()
-				if len(field.Names) > 0 {
-					pos = field.Names[0].Pos()
-				}
-				report(pos, fmt.Sprintf("by-value %s copies a value containing %s; take a pointer", what, p))
-			}
-		}
-	}
-	checkRangeVar := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		if id, ok := e.(*ast.Ident); ok && id.Name == "_" {
-			return
-		}
-		if p := lockPath(f.TypeOf(e), nil); p != "" {
-			report(e.Pos(), fmt.Sprintf("range clause copies a value containing %s per iteration; range over indices or pointers", p))
-		}
-	}
-	ast.Inspect(f.AST, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			checkParams(n.Recv, "receiver")
-			checkParams(n.Type.Params, "parameter")
-		case *ast.FuncLit:
-			checkParams(n.Type.Params, "parameter")
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				// Assigning to _ discards the value: no usable copy is
-				// made, so reporting it would only repeat the finding
-				// from wherever the value was first copied.
-				if len(n.Lhs) == len(n.Rhs) && isBlank(n.Lhs[i]) {
-					continue
-				}
-				checkRHS(rhs)
-			}
-		case *ast.ValueSpec:
-			for i, v := range n.Values {
-				if len(n.Names) == len(n.Values) && n.Names[i].Name == "_" {
-					continue
-				}
-				checkRHS(v)
-			}
-		case *ast.RangeStmt:
-			checkRangeVar(n.Key)
-			checkRangeVar(n.Value)
-		}
-		return true
-	})
 }
 
 // ---------------------------------------------------------------------------

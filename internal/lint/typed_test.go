@@ -1,75 +1,16 @@
 package lint
 
-// Tests for the typed rules (L9-L12). Fixtures here are type-checked for
-// real: module-internal imports resolve against the fixture tree, stdlib
-// imports (sync, sync/atomic, context) go through the shared source
-// importer, so the rules see genuine types.Info rather than parsed-only
-// ASTs.
+// Tests for the typed rules (L10, L12, L15) and the build-tag variant
+// passes that feed them. Fixtures here are type-checked for real:
+// module-internal imports resolve against the fixture tree, stdlib
+// imports (context, os, io) go through the shared source importer, so
+// the rules see genuine types.Info rather than parsed-only ASTs.
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestL9FiresOnMixedAtomicPlainAccess(t *testing.T) {
-	r, root := fixtureModule(t, map[string]string{
-		"internal/ring/ring.go": `package ring
-import "sync/atomic"
-type Ring struct {
-	Head int64
-	pad  int64
-}
-func (r *Ring) Bump() { atomic.AddInt64(&r.Head, 1) }
-func (r *Ring) Peek() int64 { return r.Head }
-func (r *Ring) Pad() int64 { return r.pad }
-`,
-		"internal/user/user.go": `package user
-import "repro/internal/ring"
-func Reset(r *ring.Ring) { r.Head = 0 }
-`,
-	})
-	fs := run(t, r, root)
-	// Two plain accesses of Head: the in-package Peek read and the
-	// cross-package Reset store. The pad field has no atomic access and
-	// must stay silent.
-	if got := rulesFired(fs)["L9"]; got != 2 {
-		t.Fatalf("L9 findings = %d, want 2: %v", got, fs)
-	}
-}
-
-func TestL9NegativeAtomicOnlyAndTests(t *testing.T) {
-	r, root := fixtureModule(t, map[string]string{
-		"internal/ring/ring.go": `package ring
-import "sync/atomic"
-type Ring struct{ head int64 }
-func New() *Ring { return &Ring{head: 0} } // keyed init pre-publication is fine
-func (r *Ring) Bump() { atomic.AddInt64(&r.head, 1) }
-func (r *Ring) Load() int64 { return atomic.LoadInt64(&r.head) }
-`,
-		"internal/ring/ring_test.go": `package ring
-func peek(r *Ring) int64 { return r.head } // tests may observe freely
-`,
-	})
-	if fs := run(t, r, root); len(fs) != 0 {
-		t.Fatalf("unexpected findings: %v", fs)
-	}
-}
-
-func TestL9Allow(t *testing.T) {
-	r, root := fixtureModule(t, map[string]string{
-		"internal/ring/ring.go": `package ring
-import "sync/atomic"
-type Ring struct{ head int64 }
-func (r *Ring) Bump() { atomic.AddInt64(&r.head, 1) }
-func (r *Ring) reset() {
-	r.head = 0 //lint:allow L9 pre-publication reset, no concurrent readers yet
-}
-`,
-	})
-	if fs := run(t, r, root); len(fs) != 0 {
-		t.Fatalf("suppressed L9 still reported: %v", fs)
-	}
-}
 
 func TestL10FiresOnContextField(t *testing.T) {
 	r, root := fixtureModule(t, map[string]string{
@@ -110,99 +51,6 @@ type carrier struct {
 	})
 	if fs := run(t, r, root); len(fs) != 0 {
 		t.Fatalf("unexpected findings: %v", fs)
-	}
-}
-
-func TestL11FiresOnLockCopies(t *testing.T) {
-	r, root := fixtureModule(t, map[string]string{
-		"internal/models/x.go": `package models
-import "sync"
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-func byValueParam(g guarded) int { return g.n }
-func byValueRecv(g guarded) {}
-type g2 = guarded
-func (g g2) method() {}
-func assignCopy(src *guarded) {
-	cp := *src
-	_ = cp
-}
-func rangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs {
-		total += g.n
-	}
-	return total
-}
-`,
-	})
-	fs := run(t, r, root)
-	// Five copies: the by-value parameter, the by-value receiver on
-	// method (the free function's own parameter makes byValueRecv's g a
-	// parameter too), the *src dereference assignment, and the range
-	// value.
-	if got := rulesFired(fs)["L11"]; got != 5 {
-		t.Fatalf("L11 findings = %d, want 5: %v", got, fs)
-	}
-}
-
-func TestL11FiresOnAtomicContainers(t *testing.T) {
-	r, root := fixtureModule(t, map[string]string{
-		"internal/models/x.go": `package models
-import "sync/atomic"
-type counters struct{ hits atomic.Int64 }
-func snapshot(c *counters) {
-	cp := *c
-	_ = cp
-}
-`,
-	})
-	fs := run(t, r, root)
-	if got := rulesFired(fs)["L11"]; got != 1 {
-		t.Fatalf("L11 findings = %d, want 1: %v", got, fs)
-	}
-}
-
-func TestL11NegativesAndCmdCoverage(t *testing.T) {
-	r, root := fixtureModule(t, map[string]string{
-		"internal/models/x.go": `package models
-import "sync"
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-func ok(g *guarded) int { return g.n }                  // pointers reference, not contain
-func construct() guarded { return guarded{} }          // fresh composite literal, no copy
-func viaSlice(gs []*guarded) {
-	for _, g := range gs { // pointer elements: no copy
-		_ = g
-	}
-	for i := range gs { // index-only range: no copy
-		_ = i
-	}
-}
-var registry = map[string]*guarded{}
-`,
-		"cmd/tool/main.go": `package main
-import "sync"
-func main() {
-	var a sync.Mutex
-	b := a // cmd/ packages are NOT exempt from L11
-	_ = b
-}
-`,
-	})
-	fs := run(t, r, root)
-	var l11Files []string
-	for _, f := range fs {
-		if f.Rule == "L11" {
-			l11Files = append(l11Files, f.File)
-		}
-	}
-	if len(l11Files) != 1 || !strings.Contains(l11Files[0], "cmd") {
-		t.Fatalf("want exactly one L11 finding, in cmd/tool: %v", fs)
 	}
 }
 
@@ -429,17 +277,16 @@ func bestEffort(f *os.File) {
 }
 
 func TestAllowMultiRuleTypedAndSyntactic(t *testing.T) {
-	// One line violating both L7 (library print) and L11 (lock copy),
+	// One line violating both L7 (library print) and L10 (context field),
 	// suppressed by a single multi-rule directive.
 	r, root := fixtureModule(t, map[string]string{
 		"internal/models/x.go": `package models
 import (
+	"context"
 	"fmt"
-	"sync"
 )
-func f(src *sync.Mutex) {
-	cp := *src; fmt.Println("copied") //lint:allow L7,L11 demo of a deliberately unsound line
-	_ = cp
+func f() {
+	type carrier struct{ ctx context.Context }; fmt.Println(carrier{}) //lint:allow L7,L10 demo of a deliberately unsound line
 }
 `,
 	})
@@ -481,5 +328,54 @@ func f() {
 	rep := runReport(t, r, root)
 	if len(rep.Findings) != 0 || len(rep.Warnings) != 0 {
 		t.Fatalf("findings=%v warnings=%v, want none", rep.Findings, rep.Warnings)
+	}
+}
+
+func TestTagVariantsReportOnceAndOrphansStaySyntactic(t *testing.T) {
+	// Every file is type-checked under each DefaultTagSets variant it
+	// matches. A qbfdebug-only file is seen only by the qbfdebug pass, its
+	// !qbfdebug twin by the default and qbfnotrace passes, the untagged
+	// file by all three; each violation must still be reported once. A
+	// file no variant builds is an orphan: syntactic rules only.
+	r, root := fixtureModule(t, map[string]string{
+		"internal/models/debug_on.go": `//go:build qbfdebug
+
+package models
+import "context"
+type onCarrier struct{ ctx context.Context }
+`,
+		"internal/models/debug_off.go": `//go:build !qbfdebug
+
+package models
+import "context"
+type offCarrier struct{ ctx context.Context }
+`,
+		"internal/models/common.go": `package models
+import "context"
+type carrier struct{ ctx context.Context }
+`,
+		"internal/models/ignored.go": `//go:build ignore
+
+package models
+import "context"
+type orphan struct{ ctx context.Context }
+func f() { panic("orphan") }
+`,
+	})
+	fs := run(t, r, root)
+	want := map[string]string{
+		"debug_on.go":  "L10",
+		"debug_off.go": "L10",
+		"common.go":    "L10",
+		"ignored.go":   "L3",
+	}
+	if len(fs) != len(want) {
+		t.Fatalf("findings = %v, want one per file: %v", fs, want)
+	}
+	for _, f := range fs {
+		if rule := want[filepath.Base(f.File)]; f.Rule != rule {
+			t.Fatalf("finding %v, want rule %q for its file", f, rule)
+		}
+		delete(want, filepath.Base(f.File))
 	}
 }

@@ -3,11 +3,14 @@
 #
 # Runs, in order:
 #   1. go build            (everything compiles, including qbfdebug)
-#   2. go vet              (stock static analysis)
+#   2. go vet              (stock static analysis, copylocks included,
+#                          under the default, qbfdebug and qbfnotrace
+#                          builds, and inside the perfbench module)
 #   3. gofmt check         (no unformatted files)
-#   4. qbflint             (project-specific rules L1-L15, type-checked
-#                          over every library and cmd package across all
-#                          build-tag variants, see DESIGN.md §6)
+#   4. qbflint             (project-specific rules L1-L8, L10, L12, L14
+#                          and L15, type-checked over every library and
+#                          cmd package across all build-tag variants, see
+#                          DESIGN.md §6)
 #   5. qbflint -gate hotpath
 #                          (L13: compiler escape analysis over the
 #                          //qbf:hotpath-annotated functions in
@@ -22,16 +25,15 @@
 #   7. go test -tags qbfdebug -race
 #                          (solver + harness + portfolio suites with deep
 #                          invariant checking, import oracle re-derivation,
-#                          and the fault-injection hook live)
-#   8. server + gate chaos suites
-#                          (the solve service and the qbfgate front tier
-#                          under -tags qbfdebug -race: hundreds of
+#                          and the fault-injection hook live; and the
+#                          server + gate chaos suites: the solve service
+#                          and the qbfgate front tier under hundreds of
 #                          concurrent requests with fault injection,
 #                          breaker trips and recovery, backend kill/hang/
 #                          flap storms, total-outage cache degradation,
 #                          oracle agreement, drain under load — see
 #                          DESIGN.md §10 and §11)
-#   9. solver differential + incremental metamorphic
+#   8. solver differential + incremental metamorphic
 #                          (the strategy/mode combo agreement suites, the
 #                          fixed-pool differential, the push/pop/assume
 #                          metamorphic suites, and the watcher
@@ -47,13 +49,13 @@
 #                          steps 6-7; this step names them so a
 #                          search-soundness failure is unmistakable — see
 #                          DESIGN.md §7 and §12)
-#  10. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
+#   9. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
 #                          service request decoder, the clause-arena
 #                          op-stream model, and the session journal reader
 #                          — arbitrary bytes must recover the longest
 #                          valid record prefix, never panic; the
 #                          checked-in corpora replay in step 6 already)
-#  11. tracing overhead    (builds with -tags qbfnotrace, then compares the
+#  10. tracing overhead    (builds with -tags qbfnotrace, then compares the
 #                          end-to-end BenchmarkSolveTraceOverhead between
 #                          the default build — hooks compiled in, tracer
 #                          nil — and the qbfnotrace build, alternating the
@@ -61,14 +63,14 @@
 #                          both minima equally; fails when the min-of-runs
 #                          ratio exceeds QBF_OVERHEAD_TOLERANCE, default
 #                          1.02, i.e. 2% — see DESIGN.md §9)
-#  12. session chaos       (the sticky-session protocol under -tags
+#  11. session chaos       (the sticky-session protocol under -tags
 #                          qbfdebug -race: seq races across goroutines,
 #                          busy-session shedding, contained-panic
 #                          retirement with breaker trips and recovery,
 #                          journal recovery after in-process crash stops,
 #                          and a concurrent session storm against the
 #                          one-shot oracle — see DESIGN.md §12 and §13)
-#  13. crash-recovery chaos
+#  12. crash-recovery chaos
 #                          (the real qbfd binary under -tags qbfdebug
 #                          -race: the fault hook SIGKILLs the daemon at a
 #                          chosen journal append mid-storm, a restart over
@@ -76,7 +78,7 @@
 #                          session, the stranded clients reconnect on
 #                          their own, and all verdicts agree with the
 #                          oracle ladder — see DESIGN.md §13)
-#  14. perfbench smoke     (builds the benchmark and runs each of its
+#  13. perfbench smoke     (builds the benchmark and runs each of its
 #                          three workloads — paper-batch, dia-ladder,
 #                          serve-mix — for 3 seconds untraced; perfbench
 #                          exits non-zero on any verdict that disagrees
@@ -96,8 +98,13 @@ go build ./...
 echo "==> go build -tags qbfdebug ./..."
 go build -tags qbfdebug ./...
 
-echo "==> go vet ./..."
+echo "==> go vet ./... (default, qbfdebug and qbfnotrace builds)"
 go vet ./...
+go vet -tags qbfdebug ./...
+go vet -tags qbfnotrace ./...
+
+echo "==> go vet ./... in perfbench/"
+(cd perfbench && go vet ./...)
 
 echo "==> gofmt -l ."
 fmt=$(gofmt -l .)
@@ -111,9 +118,7 @@ echo "==> qbflint ./..."
 go run ./cmd/qbflint ./...
 
 echo "==> qbflint -gate hotpath (L13 allocation gate)"
-# The gcflags are pinned here so the escape-diagnostic format the parser
-# expects is requested explicitly, not inherited from toolchain defaults.
-go run ./cmd/qbflint -gate hotpath -gcflags '-m -m' ./internal/telemetry ./internal/core
+go run ./cmd/qbflint -gate hotpath ./internal/telemetry ./internal/core
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -146,7 +151,7 @@ echo "==> disabled-tracing overhead smoke (nil-tracer build vs qbfnotrace build)
 # compiled-in (but disabled) hooks may cost relative to a build with the
 # hooks removed entirely. The two builds are precompiled once and then
 # alternated run-for-run: sequential per-build batches let a single load
-# spike (GC of the fuzz corpus from step 10, a background compile) skew
+# spike (GC of the fuzz corpus from step 9, a background compile) skew
 # one whole side and fail the ratio spuriously, while interleaving spreads
 # any transient over both minima equally.
 ovdir=$(mktemp -d)
