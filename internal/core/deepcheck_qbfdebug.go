@@ -376,14 +376,26 @@ func (s *Solver) checkMatrixBookkeeping() {
 }
 
 // checkFrames validates the incremental-session bookkeeping: frame marks
-// are monotone positions into the (level-0 prefix of the) trail, every
-// clause a frame tracks is a live runtime original carrying that frame's
-// depth as its tag, learned tags are bounded by the live frame count, and
-// learned cubes — implicants of the current matrix, invalidated by any
-// matrix growth — always carry tag 0.
+// are monotone positions into the (level-0 prefix of the) trail, the
+// recorded root cut positions strictly increase within the level-0 trail,
+// every clause a frame tracks is a live runtime original carrying that
+// frame's depth as its tag, learned tags are bounded by the live frame
+// count, learned cubes — implicants of the current matrix, invalidated by
+// any matrix growth — always carry tag 0, and the root assumptions are
+// consistent with the frames (checkAssumptions).
 func (s *Solver) checkFrames() {
 	invariant.Check(s.falseFrom >= -1 && s.falseFrom <= len(s.frames),
 		"core: falseFrom=%d with %d frames", s.falseFrom, len(s.frames))
+	root := len(s.trail)
+	if s.level > 0 {
+		root = s.levelStart[1]
+	}
+	prevCut := -1
+	for _, p := range s.rootCuts {
+		invariant.Check(p > prevCut && p <= root,
+			"core: root cut position %d outside (%d,%d]", p, prevCut, root)
+		prevCut = p
+	}
 	prev := 0
 	for fi := range s.frames {
 		f := &s.frames[fi]
@@ -409,6 +421,42 @@ func (s *Solver) checkFrames() {
 			"core: constraint %d tagged frame %d with %d frames live", ci, tag, len(s.frames))
 		if s.ar.isCube(ci) {
 			invariant.Check(tag == 0, "core: learned cube %d carries frame tag %d", ci, tag)
+		}
+	}
+	s.checkAssumptions()
+}
+
+// checkAssumptions validates the root assumptions at a quiescent fixpoint:
+// their depths are non-decreasing and name open frames; every
+// reasonAssumption trail entry sits at level 0, asserts a live assumption
+// (none of a popped frame remains), and lies at or after the mark of the
+// shallowest frame assuming it — so the Pop that retracts the last such
+// assumption unwinds the entry; and every live assumption is true.
+func (s *Solver) checkAssumptions() {
+	shallowest := make(map[qbf.Lit]int, len(s.assumps))
+	prev := 0
+	for i, a := range s.assumps {
+		invariant.Check(a.depth >= prev && a.depth <= len(s.frames),
+			"core: assumption %d (literal %d) has depth %d outside [%d,%d]", i, a.lit, a.depth, prev, len(s.frames))
+		prev = a.depth
+		if _, ok := shallowest[a.lit]; !ok {
+			shallowest[a.lit] = a.depth
+		}
+		invariant.Check(s.litValue(a.lit) == vTrue,
+			"core: live assumption %d (depth %d) is not true at a fixpoint", a.lit, a.depth)
+	}
+	for i, l := range s.trail {
+		if s.reason[l.Var()] != reasonAssumption {
+			continue
+		}
+		invariant.Check(s.dlevel[l.Var()] == 0,
+			"core: assumption entry %d at trail position %d sits at level %d", l, i, s.dlevel[l.Var()])
+		depth, ok := shallowest[l]
+		invariant.Check(ok, "core: assumption entry %d at trail position %d asserts no live assumption", l, i)
+		if depth > 0 {
+			invariant.Check(i >= s.frames[depth-1].mark,
+				"core: assumption entry %d at trail position %d is below its frame %d mark %d",
+				l, i, depth, s.frames[depth-1].mark)
 		}
 	}
 }

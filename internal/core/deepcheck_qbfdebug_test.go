@@ -14,15 +14,18 @@ import (
 // invariant checker is live: it accepts a healthy solver and panics with an
 // "invariant violated" message on deliberately corrupted internal state.
 
-func debugSolver(t *testing.T) *Solver {
-	t.Helper()
+func debugFormula() *qbf.QBF {
 	p := qbf.NewPrenexPrefix(4,
 		qbf.Run{Quant: qbf.Exists, Vars: []qbf.Var{1, 2}},
 		qbf.Run{Quant: qbf.Forall, Vars: []qbf.Var{3}},
 		qbf.Run{Quant: qbf.Exists, Vars: []qbf.Var{4}})
-	q := qbf.New(p, []qbf.Clause{
+	return qbf.New(p, []qbf.Clause{
 		mkClause(1, 2), mkClause(-1, 3, 4), mkClause(-2, -3, -4)})
-	s, err := NewSolver(q, Options{CheckInvariants: true})
+}
+
+func debugSolver(t *testing.T) *Solver {
+	t.Helper()
+	s, err := NewSolver(debugFormula(), Options{CheckInvariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,4 +127,69 @@ func TestCheckLearnedAcceptsReducedConstraints(t *testing.T) {
 	s.checkLearnedConstraint([]qbf.Lit{1, 2}, false)      // existential-only clause
 	s.checkLearnedConstraint([]qbf.Lit{-1, -3, 4}, false) // y3 guarded by x4
 	s.checkLearnedConstraint([]qbf.Lit{1, 3}, true)       // x1 ≺ y3 guards the cube
+}
+
+// assumedSolver returns debugFormula as an incremental session with one
+// frame open and the root assumption x1 asserted and propagated to a
+// quiescent fixpoint, which the checker accepts.
+func assumedSolver(t *testing.T) *Solver {
+	t.Helper()
+	s, err := NewSolver(debugFormula(), Options{Incremental: true, CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Push(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Assume(1); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.assumps) != 1 || !s.assertAssumptions() {
+		t.Fatalf("x1 was not taken as a root assumption: %v", s.assumps)
+	}
+	if ev, _ := s.propagateAll(); ev != evNone {
+		t.Fatalf("asserting x1 raised event %d", ev)
+	}
+	s.deepCheck() // healthy
+	return s
+}
+
+func TestDeepCheckCatchesStaleAssumption(t *testing.T) {
+	s := assumedSolver(t)
+	stale := s.assumps
+	if _, err := s.Pop(); err != nil {
+		t.Fatal(err)
+	}
+	s.deepCheck() // healthy: the Pop dropped the assumption and its entry
+	// A Pop that left its frame's assumption on the list.
+	s.assumps = stale
+	wantViolation(t, "depth 1 outside", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesStaleAssumptionEntry(t *testing.T) {
+	s := assumedSolver(t)
+	if _, err := s.Pop(); err != nil {
+		t.Fatal(err)
+	}
+	// A Pop that dropped the assumption but kept its trail entry.
+	s.assign(1, reasonAssumption, -1)
+	if ev, _ := s.propagateAll(); ev != evNone {
+		t.Fatalf("re-asserting x1 raised event %d", ev)
+	}
+	wantViolation(t, "asserts no live assumption", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesAssumptionBelowMark(t *testing.T) {
+	s := assumedSolver(t)
+	// The frame claims to have opened after x1 was asserted, so popping it
+	// would leave the entry of its own assumption behind.
+	s.frames[0].mark = s.trailPos[1] + 1
+	wantViolation(t, "below its frame 1 mark", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesUnassertedAssumption(t *testing.T) {
+	s := assumedSolver(t)
+	// A live assumption that the fixpoint never asserted.
+	s.assumps = append(s.assumps, assumption{lit: -2, depth: 1})
+	wantViolation(t, "is not true at a fixpoint", func() { s.deepCheck() })
 }

@@ -181,7 +181,8 @@ func (s *Solver) fixPures() bool {
 	// purity can only be broken by a clause mentioning the variable, Pop
 	// only shrinks the occurrence sets, and AddClause unwinds any root
 	// pure assignment whose variable the incoming clause mentions
-	// (invalidatePures) before installing it.
+	// (invalidatePures) before installing it, as a root Assume does for
+	// its own variable.
 	assigned := false
 	for len(s.pureCand) > 0 {
 		v := s.pureCand[len(s.pureCand)-1]

@@ -26,6 +26,7 @@ const (
 	reasonFlipped               // second branch of a decision (opens a level)
 	reasonConstraint            // unit propagation from a clause or cube
 	reasonPure                  // pure (monotone) literal fixing
+	reasonAssumption            // root assumption of an incremental session (level 0)
 )
 
 // Constraints (clauses and cubes) live in the arena clause store (see
@@ -144,12 +145,22 @@ type Solver struct {
 	// opDirty is set by session operations and consumed by the next Solve,
 	// which restarts the Luby schedule: the new query should explore from
 	// short restart intervals again instead of inheriting an arbitrarily
-	// long interval earned on a different formula.
+	// long interval earned on a different formula. assumps holds the live
+	// root assumptions in Assume order, so their depths are non-decreasing;
+	// falseDepth is the frame depth the current False verdict was derived
+	// at; modelGone marks the terminal assignment of a True verdict as
+	// unwound by a session operation, so Witness has nothing to read.
+	// rootCuts lists, increasing, the level-0 trail lengths at which
+	// session operations may cut the level-0 trail (cutRoot).
 	frames      []frame
 	falseFrom   int
 	wakeRefs    []int
 	runtimeOrig []int
 	opDirty     bool
+	assumps     []assumption
+	falseDepth  int
+	modelGone   bool
+	rootCuts    []int
 
 	ws       workSet // reusable analysis working set
 	stampGen uint64  // last reduceSet generation; block stamps compare against it
@@ -435,7 +446,11 @@ func (s *Solver) Solve(ctx context.Context) Verdict {
 		s.restartLimit = luby(1) * restartUnit
 		s.initScores()
 	}
+	s.modelGone = false
 	s.lastResult = s.solve()
+	if s.lastResult == False {
+		s.falseDepth = len(s.frames)
+	}
 	s.emitEv(telemetry.KindStop, 0, int64(s.lastResult), int64(s.stats.StopReason))
 	return s.lastResult
 }
@@ -487,6 +502,15 @@ func (s *Solver) solve() Verdict {
 		// A clause added at frame depth falseFrom universally reduced to a
 		// contradiction; the formula is false while that frame lives (Pop
 		// clears the record, ops reset lastResult).
+		return False
+	}
+	if s.level == 0 && s.qhead == len(s.trail) && s.opt.Incremental {
+		s.noteRootCut()
+	}
+	if !s.assertAssumptions() {
+		// A root assumption is false on the level-0 trail, which only
+		// truth-preserving steps built: the formula is false under the
+		// assumptions.
 		return False
 	}
 
@@ -546,6 +570,9 @@ func (s *Solver) solve() Verdict {
 			// An imported constraint assigned a unit literal after the
 			// propagation fixpoint; drain it before branching.
 			continue
+		}
+		if s.level == 0 && s.opt.Incremental {
+			s.noteRootCut()
 		}
 		s.deepCheck()
 		if s.fixPures() {

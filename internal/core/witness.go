@@ -9,7 +9,9 @@ import "repro/internal/qbf"
 // variables at all — this is a complete model). The second result is false
 // when no witness is available: the formula was false, unsolved, trivially
 // true with an empty matrix, or the relevant assignment did not survive to
-// termination.
+// termination — in an incremental session, every Push, Pop, AddClause or
+// Assume after the verdict unwinds it, and no witness is available until
+// the next Solve that searches.
 //
 // The witness is read from the terminal good: when the engine concludes
 // True through cube machinery, the final cube's existential reduction
@@ -17,7 +19,7 @@ import "repro/internal/qbf"
 // realize, plus whatever level-0 assignments (units, pures) complement
 // them. Variables the formula does not constrain are reported true.
 func (s *Solver) Witness() (map[qbf.Var]bool, bool) {
-	if s.lastResult != True {
+	if s.lastResult != True || s.modelGone {
 		return nil, false
 	}
 	model := make(map[qbf.Var]bool)

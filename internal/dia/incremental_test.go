@@ -70,11 +70,17 @@ func TestIncrementalDiameterMatchesOneShot(t *testing.T) {
 // Solving" (Lonsing & Egly): a session solves a ladder step φk, then
 // re-solves it under each root-block literal via push/assume/solve/pop.
 // Every verdict must equal a fresh one-shot solve of φk plus that unit
-// clause, and since all of φk's learning sits at frame 0 and survives
-// every pop, the session must need fewer decisions in total than the
-// one-shot solves. Decision counts are deterministic, so the comparison
-// is exact rather than timed.
+// clause. Each literal is a root assumption, so all of φk's learning —
+// clauses and cubes — survives every pop, and the session must need fewer
+// decisions in total than the one-shot solves. Decision counts are
+// deterministic, so the comparison is exact rather than timed, and the
+// session is also held to a fixed ceiling: the decisions it takes when
+// root assumptions keep cubes and a False verdict outlives the pop of a
+// later frame — 15,106 in full, 1,127 under -short. The session runs with
+// invariant checking on, so under -tags qbfdebug the frame and assumption
+// bookkeeping is deep-checked at every fixpoint.
 func TestVariantSweepBeatsOneShot(t *testing.T) {
+	maxSweepDecisions := int64(15106)
 	bases := []struct {
 		m *models.Model
 		k int
@@ -86,6 +92,7 @@ func TestVariantSweepBeatsOneShot(t *testing.T) {
 	}
 	if testing.Short() {
 		bases = bases[1:] // counter3 φ4 is the slowest base
+		maxSweepDecisions = 1127
 	}
 	ctx := context.Background()
 	opt := core.Options{Mode: core.ModePartialOrder}
@@ -97,6 +104,7 @@ func TestVariantSweepBeatsOneShot(t *testing.T) {
 		}
 		incOpt := opt
 		incOpt.Incremental = true
+		incOpt.CheckInvariants = true
 		s, err := core.NewSolver(base, incOpt)
 		if err != nil {
 			t.Fatal(err)
@@ -137,6 +145,9 @@ func TestVariantSweepBeatsOneShot(t *testing.T) {
 	if oneDecs <= incDecs {
 		t.Errorf("sweep took %d one-shot vs %d incremental decisions; surviving lemmas must pay",
 			oneDecs, incDecs)
+	}
+	if incDecs > maxSweepDecisions {
+		t.Errorf("sweep took %d incremental decisions, ceiling %d", incDecs, maxSweepDecisions)
 	}
 	t.Logf("sweep decisions: %d one-shot, %d incremental (%.2fx)",
 		oneDecs, incDecs, float64(oneDecs)/float64(incDecs))

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -54,10 +55,34 @@ func crashService(t *testing.T, dir string, cfg Config) (*Server, *httptest.Serv
 	return s, ts
 }
 
+// rootSweep runs push/assume/solve and pop/solve over every root literal
+// of tinyTrue, starting at seq, and returns the verdicts in call order.
+func rootSweep(t *testing.T, url, id string, seq int64) []string {
+	t.Helper()
+	var out []string
+	for _, l := range []int{1, -1, 2, -2} {
+		for _, ops := range [][]SessionOp{
+			{{Op: "push"}, {Op: "assume", Lits: []int{l}}},
+			{{Op: "pop"}},
+		} {
+			status, resp := postSession(t, url, "/v1/session/"+id, SessionSolveRequest{Seq: seq, Ops: ops})
+			if status != result.StatusOK || resp.Replayed {
+				t.Fatalf("sweep seq %d (%v): got %d replayed=%v error=%q", seq, ops, status, resp.Replayed, resp.Error)
+			}
+			out = append(out, resp.Verdict)
+			seq++
+		}
+	}
+	return out
+}
+
 // TestSessionJournalRecovery is the core crash-tolerance contract: after
 // an unclean death, a restarted server replays the journal, rebuilds the
 // session's solver state, re-arms the idempotency record so a retried seq
 // gets the recorded response, and the ladder continues where it left off.
+// The script then assumes a root literal for good and sweeps every root
+// literal through push/assume/solve/pop; after a second crash the
+// recovered session must answer the same sweep with the same verdicts.
 func TestSessionJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := crashService(t, dir, Config{Workers: 1})
@@ -74,7 +99,7 @@ func TestSessionJournalRecovery(t *testing.T) {
 	ts1.Close()
 	s1.crashStop()
 
-	s2, ts2 := journaledService(t, dir, Config{Workers: 1})
+	s2, ts2 := crashService(t, dir, Config{Workers: 1})
 	jst := s2.Snapshot().Journal
 	if !jst.Enabled || jst.Degraded || jst.RecoveredSessions != 1 || jst.RecoveredRecords < 4 {
 		t.Fatalf("journal after recovery: %+v", jst)
@@ -94,6 +119,29 @@ func TestSessionJournalRecovery(t *testing.T) {
 		Seq: 3, Ops: []SessionOp{{Op: "pop"}}})
 	if status != result.StatusOK || resp.Verdict != "TRUE" || resp.Depth != 0 {
 		t.Fatalf("seq 3 after restart: got %d %q depth=%d error=%q", status, resp.Verdict, resp.Depth, resp.Error)
+	}
+
+	// x1 holds in tinyTrue's only model; assuming it at depth 0 keeps the
+	// formula TRUE and makes every later ¬x1 contradict it.
+	status, resp = postSession(t, ts2.URL, "/v1/session/"+id, SessionSolveRequest{
+		Seq: 4, Ops: []SessionOp{{Op: "assume", Lits: []int{1}}}})
+	if status != result.StatusOK || resp.Verdict != "TRUE" || resp.Depth != 0 {
+		t.Fatalf("seq 4: got %d %q depth=%d error=%q", status, resp.Verdict, resp.Depth, resp.Error)
+	}
+	live := rootSweep(t, ts2.URL, id, 5)
+	want := []string{"TRUE", "TRUE", "FALSE", "TRUE", "FALSE", "TRUE", "TRUE", "TRUE"}
+	if fmt.Sprint(live) != fmt.Sprint(want) {
+		t.Fatalf("live sweep verdicts %v, want %v", live, want)
+	}
+	ts2.Close()
+	s2.crashStop()
+
+	s3, ts3 := journaledService(t, dir, Config{Workers: 1})
+	if got := s3.Snapshot().Journal.RecoveredSessions; got != 1 {
+		t.Fatalf("second recovery: %d sessions, want 1", got)
+	}
+	if recovered := rootSweep(t, ts3.URL, id, 5+int64(len(live))); fmt.Sprint(recovered) != fmt.Sprint(live) {
+		t.Fatalf("recovered sweep verdicts %v, live %v", recovered, live)
 	}
 }
 

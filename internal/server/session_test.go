@@ -253,26 +253,75 @@ func TestSessionDrain(t *testing.T) {
 }
 
 // TestSessionLearnedSurvival checks the point of the whole API at the
-// HTTP layer: after a push/add/pop round trip, a re-solve rides the
-// retained learned clauses and reports a near-zero per-call work delta.
+// HTTP layer: the FALSE is derived inside a frame, the frame pops, and the
+// re-solve rides the retained learned clauses and reports a near-zero
+// per-call work delta. (A FALSE derived below the frame would outlive the
+// pop and cost nothing at all, which would make the check vacuous.)
 func TestSessionLearnedSurvival(t *testing.T) {
 	_, ts := testService(t, Config{Workers: 1})
 	id := mustCreate(t, ts.URL, SessionRequest{Formula: phpQDIMACS(4)})
 
-	status, first := postSession(t, ts.URL, "/v1/session/"+id, SessionSolveRequest{Seq: 1})
-	if status != result.StatusOK || first.Verdict != "FALSE" {
-		t.Fatalf("seq 1: got %d %q", status, first.Verdict)
+	status, first := postSession(t, ts.URL, "/v1/session/"+id, SessionSolveRequest{
+		Seq: 1, Ops: []SessionOp{{Op: "push"}}})
+	if status != result.StatusOK || first.Verdict != "FALSE" || first.Depth != 1 {
+		t.Fatalf("seq 1: got %d %q depth=%d", status, first.Verdict, first.Depth)
 	}
 	if first.Stats.Conflicts == 0 {
 		t.Fatal("php(5,4) must conflict; per-call stats delta looks broken")
 	}
 	status, again := postSession(t, ts.URL, "/v1/session/"+id, SessionSolveRequest{
-		Seq: 2, Ops: []SessionOp{{Op: "push"}, {Op: "pop"}}})
-	if status != result.StatusOK || again.Verdict != "FALSE" {
-		t.Fatalf("seq 2: got %d %q", status, again.Verdict)
+		Seq: 2, Ops: []SessionOp{{Op: "pop"}}})
+	if status != result.StatusOK || again.Verdict != "FALSE" || again.Depth != 0 {
+		t.Fatalf("seq 2: got %d %q depth=%d", status, again.Verdict, again.Depth)
+	}
+	if again.Stats.Conflicts == 0 {
+		t.Fatal("re-solve did no conflict: the pop kept the FALSE derived inside the popped frame")
 	}
 	if again.Stats.Conflicts*4 >= first.Stats.Conflicts {
 		t.Fatalf("re-solve did %d conflicts vs first %d; learned clauses did not survive",
 			again.Stats.Conflicts, first.Stats.Conflicts)
+	}
+}
+
+// TestSessionWitnessAfterPop: a pop unwinds the search state a cached TRUE
+// was reached in, so a witness requested after it must be absent or
+// satisfy the formula. The formula needs a decision, so a witness read off
+// the unwound trail would set x1 and x2 both true.
+func TestSessionWitnessAfterPop(t *testing.T) {
+	const formula = "p cnf 3 2\ne 1 2 3 0\n1 2 0\n-1 -2 0\n"
+	satisfies := func(wit []int, clauses ...[]int) bool {
+		val := map[int]bool{}
+		for _, l := range wit {
+			val[l] = true
+		}
+		for _, c := range clauses {
+			ok := false
+			for _, l := range c {
+				ok = ok || val[l]
+			}
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	_, ts := testService(t, Config{Workers: 1})
+	id := mustCreate(t, ts.URL, SessionRequest{Formula: formula})
+
+	status, resp := postSession(t, ts.URL, "/v1/session/"+id, SessionSolveRequest{
+		Seq: 1, Ops: []SessionOp{{Op: "push"}, {Op: "assume", Lits: []int{3}}}, Witness: true})
+	if status != result.StatusOK || resp.Verdict != "TRUE" || resp.Depth != 1 {
+		t.Fatalf("seq 1: got %d %q depth=%d error=%q", status, resp.Verdict, resp.Depth, resp.Error)
+	}
+	if !satisfies(resp.Witness, []int{1, 2}, []int{-1, -2}, []int{3}) {
+		t.Fatalf("seq 1: witness %v does not satisfy the formula under x3", resp.Witness)
+	}
+	status, resp = postSession(t, ts.URL, "/v1/session/"+id, SessionSolveRequest{
+		Seq: 2, Ops: []SessionOp{{Op: "pop"}}, Witness: true})
+	if status != result.StatusOK || resp.Verdict != "TRUE" || resp.Depth != 0 {
+		t.Fatalf("seq 2: got %d %q depth=%d error=%q", status, resp.Verdict, resp.Depth, resp.Error)
+	}
+	if len(resp.Witness) > 0 && !satisfies(resp.Witness, []int{1, 2}, []int{-1, -2}) {
+		t.Fatalf("seq 2: witness %v after pop does not satisfy the formula", resp.Witness)
 	}
 }

@@ -36,19 +36,26 @@
 #   8. solver differential + incremental metamorphic
 #                          (the strategy/mode combo agreement suites, the
 #                          fixed-pool differential, the push/pop/assume
-#                          metamorphic suites, and the watcher
-#                          fault-injection stress under -tags qbfdebug
-#                          -race with the deep checker's watcher
+#                          metamorphic suites — root assumptions
+#                          included — and the watcher fault-injection
+#                          stress under -tags qbfdebug -race with the
+#                          deep checker's watcher, frame and assumption
 #                          invariants armed; any verdict disagreement
 #                          against the oracle fails. Also the
 #                          block-marking reductions against the pairwise
 #                          definition of universal/existential reduction
 #                          on random tree and prenex prefixes: any
 #                          difference in the dropped literals or their
-#                          order fails. The same tests also run inside
-#                          steps 6-7; this step names them so a
-#                          search-soundness failure is unmistakable — see
-#                          DESIGN.md §7 and §12)
+#                          order fails. The same core tests also run
+#                          inside steps 6-7; this step names them so a
+#                          search-soundness failure is unmistakable. Then
+#                          internal/dia's incremental ladder and variant
+#                          sweep under the same tags with the deep
+#                          checker on the sessions, in -short mode: the
+#                          full sweep's counter3 φ4 base takes minutes
+#                          under the checker and the race detector; step
+#                          6 runs the full sweep and its decision
+#                          ceiling — see DESIGN.md §7 and §12)
 #   9. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
 #                          service request decoder, the clause-arena
 #                          op-stream model, and the session journal reader
@@ -126,10 +133,13 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/portfolio/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/portfolio/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher invariants)"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants)"
 go test -tags qbfdebug -race -count=1 \
     -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise' \
     ./internal/core/
+go test -tags qbfdebug -race -count=1 -short \
+    -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
+    ./internal/dia/
 
 echo "==> go test -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/"
 go test -run '^$' -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/
