@@ -9,7 +9,7 @@
 //	qbfsolve [flags] [file.qdimacs]
 //
 // Observability: -trace FILE streams every solver event (decisions,
-// conflicts, learning, imports, …) as JSONL for `qbfstat trace`;
+// conflicts, learning, restarts, …) as JSONL for `qbfstat trace`;
 // -metrics-addr serves expvar event counters and pprof endpoints over
 // HTTP while solving; -profile PREFIX captures CPU and heap profiles.
 //
@@ -30,7 +30,6 @@ import (
 	"syscall"
 
 	"repro/internal/core"
-	"repro/internal/portfolio"
 	"repro/internal/prenex"
 	"repro/internal/qbf"
 	"repro/internal/qdimacs"
@@ -50,10 +49,6 @@ func main() {
 	miniscope := flag.Bool("miniscope", false, "minimize quantifier scopes before solving (Section VII.D)")
 	stats := flag.Bool("stats", false, "print search statistics")
 	witness := flag.Bool("witness", false, "on TRUE, print the outermost existential assignment (a full model for SAT inputs)")
-	usePortfolio := flag.Bool("portfolio", false, "race a portfolio of diverse solver configurations (-mode/-strategy are ignored; see -workers, -share, -det)")
-	workers := flag.Int("workers", 0, "portfolio size (implies -portfolio when > 1; 0 = 4 with -portfolio)")
-	share := flag.Bool("share", false, "portfolio: exchange short learned constraints between same-structure workers")
-	det := flag.Bool("det", false, "portfolio: deterministic scheduling (serialized, reproducible winner)")
 	tracePath := flag.String("trace", "", "write a JSONL event trace to FILE (summarize with `qbfstat trace FILE`)")
 	metricsAddr := flag.String("metrics-addr", "", "serve expvar event counters and pprof on ADDR (e.g. localhost:6060) while solving")
 	profile := flag.String("profile", "", "capture CPU and heap profiles to PREFIX.cpu.pprof / PREFIX.heap.pprof")
@@ -80,10 +75,6 @@ func main() {
 		DisableCubeLearning:   *noCu,
 		DisablePureLiterals:   *noPure,
 		Telemetry:             obs.Tracer,
-	}
-	if *usePortfolio || *workers > 1 {
-		runPortfolio(q, opt, *workers, *share, *det, *stats, *witness, obs)
-		return
 	}
 	switch *mode {
 	case "po":
@@ -134,64 +125,6 @@ func main() {
 	os.Exit(result.ExitCode(r, st.StopReason))
 }
 
-// runPortfolio decides q by racing diverse configurations. The -mode and
-// -strategy flags are ignored: the schedule spans both modes and every
-// prenexing strategy on its own. Limits and learning toggles from the
-// sequential flags become the portfolio's shared budgets and base options;
-// the telemetry tracer on base is forked per worker, so every trace event
-// carries its worker index and structure group.
-func runPortfolio(q *qbf.QBF, base core.Options, workers int, share, det, stats, witness bool, obs *telemetry.Observability) {
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	rep, err := portfolio.Solve(ctx, q, portfolio.Options{
-		Workers:       workers,
-		Share:         share,
-		Deterministic: det,
-		Base:          base,
-	})
-	if err != nil {
-		fail(err)
-	}
-	finishObservability(obs)
-	fmt.Println(rep.Verdict)
-	stop := rep.Stop
-	if perr := rep.Err(); perr != nil {
-		fmt.Fprintln(os.Stderr, "qbfsolve: portfolio failed:", perr)
-		stop = core.StopPanicked
-	} else if rep.Verdict == core.Unknown && stop != core.StopNone {
-		fmt.Fprintf(os.Stderr, "qbfsolve: stopped: %v\n", stop)
-	}
-	if witness && rep.Verdict == core.True {
-		if rep.Witness != nil {
-			printWitness(rep.Witness, q.MaxVar())
-		} else {
-			fmt.Fprintln(os.Stderr, "qbfsolve: no witness available (winner solved a prenex conversion)")
-		}
-	}
-	if stats {
-		st := rep.Stats
-		fmt.Fprintf(os.Stderr,
-			"portfolio: workers=%d ran=%d winner=%s(%d) imports=%d imports-rejected=%d exported=%d dropped=%d\n",
-			len(rep.Workers), countRan(rep.Workers), rep.WinnerName(), rep.Winner,
-			st.Imports, st.ImportsRejected, rep.Exported, rep.Dropped)
-		for i, w := range rep.Workers {
-			if !w.Ran {
-				continue
-			}
-			fmt.Fprintf(os.Stderr,
-				"worker %d %s: result=%v attempts=%d decisions=%d conflicts=%d solutions=%d imports=%d\n",
-				i, w.Name, w.Verdict, w.Attempts, w.Stats.Decisions, w.Stats.Conflicts,
-				w.Stats.Solutions, w.Imported)
-		}
-		fmt.Fprintf(os.Stderr,
-			"decisions=%d propagations=%d pures=%d conflicts=%d solutions=%d learned-clauses=%d learned-cubes=%d backjumps=%d restarts=%d fixpoints=%d peak-learned-bytes=%d mem-reductions=%d time=%v\n",
-			st.Decisions, st.Propagations, st.PureAssignments, st.Conflicts,
-			st.Solutions, st.LearnedClauses, st.LearnedCubes, st.Backjumps,
-			st.Restarts, st.Fixpoints, st.PeakLearnedBytes, st.MemReductions, st.Time)
-	}
-	os.Exit(result.ExitCode(rep.Verdict, stop))
-}
-
 // setupObservability wires the exporters requested by the -trace,
 // -metrics-addr and -profile flags. finishObservability must run before
 // the process exits (os.Exit skips deferred calls, so main calls it
@@ -211,16 +144,6 @@ func finishObservability(obs *telemetry.Observability) {
 	if err := obs.Finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "qbfsolve:", err)
 	}
-}
-
-func countRan(ws []portfolio.WorkerReport) int {
-	n := 0
-	for _, w := range ws {
-		if w.Ran {
-			n++
-		}
-	}
-	return n
 }
 
 func printWitness(model map[qbf.Var]bool, maxVar int) {

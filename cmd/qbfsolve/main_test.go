@@ -86,9 +86,6 @@ func TestCLIVerdictExitCodes(t *testing.T) {
 		{[]string{"-mode", "to", "testdata/tree.qtree"}, "TRUE", 10},
 		{[]string{"-mode", "to", "-strategy", "ed-ad", "testdata/tree.qtree"}, "TRUE", 10},
 		{[]string{"-miniscope", "testdata/true.qdimacs"}, "TRUE", 10},
-		{[]string{"-portfolio", "-det", "testdata/true.qdimacs"}, "TRUE", 10},
-		{[]string{"-workers", "4", "-share", "testdata/false.qdimacs"}, "FALSE", 20},
-		{[]string{"-workers", "2", "testdata/tree.qtree"}, "TRUE", 10},
 	}
 	for _, c := range cases {
 		stdout, stderr, code := runCLI(t, c.args...)
@@ -103,10 +100,6 @@ func TestCLIWitness(t *testing.T) {
 	stdout, _, code := runCLI(t, "-witness", "testdata/true.qdimacs")
 	if code != 10 || !strings.Contains(stdout, "v 1 0") {
 		t.Fatalf("witness output %q (exit %d), want a 'v 1 0' model line", stdout, code)
-	}
-	stdout, _, code = runCLI(t, "-portfolio", "-det", "-witness", "testdata/true.qdimacs")
-	if code != 10 || !strings.Contains(stdout, "v 1 0") {
-		t.Fatalf("portfolio witness output %q (exit %d), want a 'v 1 0' model line", stdout, code)
 	}
 }
 
@@ -124,71 +117,57 @@ func TestCLIErrorExit(t *testing.T) {
 }
 
 // TestCLINodeLimit: the decision budget must surface as exit 31 with the
-// node-limit stop reason, on both the sequential and the portfolio path.
+// node-limit stop reason.
 func TestCLINodeLimit(t *testing.T) {
 	path := hardInstanceFile(t, 24, 2)
-	for _, args := range [][]string{
-		{"-nodes", "50", path},
-		{"-nodes", "50", "-workers", "4", "-det", path},
-	} {
-		stdout, stderr, code := runCLI(t, args...)
-		if code != 31 || strings.TrimSpace(stdout) != "UNKNOWN" {
-			t.Fatalf("%v: got (%q, exit %d), want (UNKNOWN, exit 31)\nstderr: %s", args, stdout, code, stderr)
-		}
-		if !strings.Contains(stderr, "stopped: node-limit") {
-			t.Fatalf("%v: stderr %q lacks the node-limit stop reason", args, stderr)
-		}
+	stdout, stderr, code := runCLI(t, "-nodes", "50", path)
+	if code != 31 || strings.TrimSpace(stdout) != "UNKNOWN" {
+		t.Fatalf("got (%q, exit %d), want (UNKNOWN, exit 31)\nstderr: %s", stdout, code, stderr)
+	}
+	if !strings.Contains(stderr, "stopped: node-limit") {
+		t.Fatalf("stderr %q lacks the node-limit stop reason", stderr)
 	}
 }
 
-// TestCLITimeout: an expired time budget must surface as exit 30, on both
-// paths. The instance needs well over the budget sequentially.
+// TestCLITimeout: an expired time budget must surface as exit 30. The
+// instance needs well over the budget.
 func TestCLITimeout(t *testing.T) {
 	path := hardInstanceFile(t, 24, 15)
-	for _, args := range [][]string{
-		{"-timeout", "5ms", path},
-		{"-timeout", "5ms", "-portfolio", path},
-	} {
-		stdout, stderr, code := runCLI(t, args...)
-		if code == 10 || code == 20 {
-			t.Skipf("%v: instance solved within the budget on this machine", args)
-		}
-		if code != 30 || strings.TrimSpace(stdout) != "UNKNOWN" || !strings.Contains(stderr, "stopped: timeout") {
-			t.Fatalf("%v: got (%q, exit %d, stderr %q), want (UNKNOWN, exit 30, timeout stop)",
-				args, strings.TrimSpace(stdout), code, stderr)
-		}
+	stdout, stderr, code := runCLI(t, "-timeout", "5ms", path)
+	if code == 10 || code == 20 {
+		t.Skip("instance solved within the budget on this machine")
+	}
+	if code != 30 || strings.TrimSpace(stdout) != "UNKNOWN" || !strings.Contains(stderr, "stopped: timeout") {
+		t.Fatalf("got (%q, exit %d, stderr %q), want (UNKNOWN, exit 30, timeout stop)",
+			strings.TrimSpace(stdout), code, stderr)
 	}
 }
 
 // TestCLIInterrupt: SIGINT must wind the search down at the next fixpoint
-// and exit 33 (cancelled), for the sequential and the portfolio engine.
-// The instance takes 2.5–3 s on either engine (2-core x86-64), far beyond
-// the 100 ms before the signal.
+// and exit 33 (cancelled). The instance takes 2.5–3 s (2-core x86-64), far
+// beyond the 100 ms before the signal.
 func TestCLIInterrupt(t *testing.T) {
 	path := hardInstanceFile(t, 40, 4)
-	for _, extra := range [][]string{nil, {"-workers", "4", "-share"}} {
-		args := append(append([]string{}, extra...), path)
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "QBFSOLVE_TEST_RUN_MAIN=1")
-		var out, errb bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errb
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Millisecond)
-		_ = cmd.Process.Signal(os.Interrupt)
-		err := cmd.Wait()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		}
-		if code == 10 || code == 20 {
-			t.Skipf("%v: instance solved before the signal arrived", args)
-		}
-		if code != 33 || !strings.Contains(errb.String(), "stopped: cancelled") {
-			t.Fatalf("%v: exit %d stdout %q stderr %q, want exit 33 with cancelled stop",
-				args, code, out.String(), errb.String())
-		}
+	cmd := exec.Command(os.Args[0], path)
+	cmd.Env = append(os.Environ(), "QBFSOLVE_TEST_RUN_MAIN=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	_ = cmd.Process.Signal(os.Interrupt)
+	err := cmd.Wait()
+	code := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	}
+	if code == 10 || code == 20 {
+		t.Skip("instance solved before the signal arrived")
+	}
+	if code != 33 || !strings.Contains(errb.String(), "stopped: cancelled") {
+		t.Fatalf("exit %d stdout %q stderr %q, want exit 33 with cancelled stop",
+			code, out.String(), errb.String())
 	}
 }
 
@@ -241,35 +220,24 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestCLIGoldenStats pins the exact -stats output framing. The sequential
-// engine and the deterministic portfolio are both fully reproducible on
-// these inputs once wall-clock fields are masked, so any drift in the
-// search (decision counts, learned constraints) or in the report format
-// shows up as a golden diff.
+// TestCLIGoldenStats pins the exact -stats output framing. The engine is
+// fully reproducible on this input once wall-clock fields are masked, so
+// any drift in the search (decision counts, learned constraints) or in the
+// report format shows up as a golden diff.
 func TestCLIGoldenStats(t *testing.T) {
 	_, stderr, code := runCLI(t, "-stats", "testdata/false.qdimacs")
 	if code != 20 {
 		t.Fatalf("exit %d, want 20", code)
 	}
 	checkGolden(t, "stats_false.golden", stderr)
-
-	_, stderr, code = runCLI(t, "-portfolio", "-det", "-share", "-stats", "testdata/tree.qtree")
-	if code != 10 {
-		t.Fatalf("exit %d, want 10", code)
-	}
-	if !strings.Contains(stderr, "winner=po-default(0)") {
-		t.Fatalf("deterministic portfolio stats %q: want worker 0 to win on a trivial instance", stderr)
-	}
-	checkGolden(t, "portfolio_stats_tree.golden", stderr)
 }
 
-// TestCLITraceJSONL runs -trace end to end on the deterministic portfolio
-// and cross-checks the JSONL artifact against the -stats counters: every
-// required event kind is present, per-kind counts match the search
-// statistics, and every event carries a worker tag.
+// TestCLITraceJSONL runs -trace end to end and cross-checks the JSONL
+// artifact against the -stats counters: every required event kind is
+// present and per-kind counts match the search statistics.
 func TestCLITraceJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	_, stderr, code := runCLI(t, "-portfolio", "-det", "-share", "-stats", "-trace", path, "testdata/false.qdimacs")
+	_, stderr, code := runCLI(t, "-stats", "-trace", path, "testdata/false.qdimacs")
 	if code != 20 {
 		t.Fatalf("exit %d, want 20\nstderr: %s", code, stderr)
 	}
@@ -283,13 +251,10 @@ func TestCLITraceJSONL(t *testing.T) {
 		t.Fatalf("trace does not replay: %v", err)
 	}
 	for _, kind := range []telemetry.Kind{telemetry.KindDecision, telemetry.KindConflict,
-		telemetry.KindLearn, telemetry.KindSlice, telemetry.KindStop} {
+		telemetry.KindLearn, telemetry.KindStop} {
 		if sum.ByKind[kind] == 0 {
 			t.Errorf("trace has no %q events: %v", kind, sum.ByKind)
 		}
-	}
-	if len(sum.ByWorker) == 0 {
-		t.Error("no event carries a worker tag")
 	}
 	// The stderr counters and the trace describe the same run.
 	for _, c := range []struct {
@@ -306,9 +271,8 @@ func TestCLITraceJSONL(t *testing.T) {
 	}
 }
 
-// TestCLITraceSequential covers the non-portfolio path: the root tracer
-// (no worker fork) must still produce a replayable trace ending in a stop
-// event that encodes the verdict.
+// TestCLITraceSequential: a -trace run on a TRUE instance must produce a
+// replayable trace ending in a stop event that encodes the verdict.
 func TestCLITraceSequential(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	_, _, code := runCLI(t, "-trace", path, "testdata/true.qdimacs")

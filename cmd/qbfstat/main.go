@@ -5,8 +5,8 @@
 // Graphviz format instead.
 //
 // The trace subcommand summarizes a JSONL solver-event trace written by
-// qbfsolve/qbfbench/qbfd with -trace: total events, per-kind and
-// per-worker counts, the decision distribution over prefix depth, and —
+// qbfsolve/qbfbench/qbfd with -trace: total events, per-kind counts, the
+// decision distribution over prefix depth, and —
 // for qbfd traces with the session journal enabled — the journal line
 // (appends, recovered sessions, compactions, truncated bytes, degrades).
 //

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -39,9 +40,10 @@ func runCLI(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
-// TestTraceRoundTrip emits a known mix of events through the JSONL sink and
-// checks that `qbfstat trace` replays exactly those counts: the emit side
-// and the replay side agree on the wire format.
+// TestTraceRoundTrip emits a known mix of events through the JSONL sink
+// from two concurrent emitters sharing one tracer and checks that `qbfstat
+// trace` replays exactly those counts: the emit side and the replay side
+// agree on the wire format, and concurrent emission loses no event.
 func TestTraceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
@@ -54,17 +56,23 @@ func TestTraceRoundTrip(t *testing.T) {
 		telemetry.KindDecision: 7,
 		telemetry.KindConflict: 3,
 		telemetry.KindLearn:    3,
-		telemetry.KindImport:   2,
+		telemetry.KindReduce:   2,
 		telemetry.KindStop:     1,
 	}
-	for w := int32(0); w < 2; w++ {
-		wt := tr.Fork(int(w), 0)
-		for kind, n := range counts {
-			for i := 0; i < n; i++ {
-				wt.Emit(kind, i, 1+i%3, int64(i), 0)
+	const emitters = 2
+	var wg sync.WaitGroup
+	for w := 0; w < emitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for kind, n := range counts {
+				for i := 0; i < n; i++ {
+					tr.Emit(kind, i, 1+i%3, int64(i), 0)
+				}
 			}
-		}
+		}()
 	}
+	wg.Wait()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,20 +83,14 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	total := 0
 	for kind, n := range counts {
-		total += 2 * n
-		want := fmt.Sprintf("%-10s %d", kind, 2*n)
+		total += emitters * n
+		want := fmt.Sprintf("%-10s %d", kind, emitters*n)
 		if !strings.Contains(stdout, want) {
 			t.Errorf("summary lacks %q:\n%s", want, stdout)
 		}
 	}
-	if want := fmt.Sprintf("events=%d workers=2", total); !strings.Contains(stdout, want) {
+	if want := fmt.Sprintf("events=%d span=", total); !strings.Contains(stdout, want) {
 		t.Errorf("summary lacks %q:\n%s", want, stdout)
-	}
-	for w := 0; w < 2; w++ {
-		want := fmt.Sprintf("worker %-3d %d", w, total/2)
-		if !strings.Contains(stdout, want) {
-			t.Errorf("summary lacks %q:\n%s", want, stdout)
-		}
 	}
 }
 

@@ -241,3 +241,113 @@ func TestTimeoutNotStarvedByPropagation(t *testing.T) {
 		t.Errorf("50ms budget overshot to %v", elapsed)
 	}
 }
+
+// TestSolveContextResume drives a solve in node-budget slices via
+// SetNodeLimit and checks the resume contract: progress is monotone, the
+// sliced verdict matches the unsliced one, and re-calling after the
+// verdict returns it immediately without further work.
+func TestSolveContextResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	resumedOnce := false
+	for i := 0; i < 25; i++ {
+		q := denseRandomQBF(rng)
+		wantRRes, err := Solve(context.Background(), q, Options{Mode: ModePartialOrder})
+		wantR := wantRRes.Verdict
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSolver(q, Options{Mode: ModePartialOrder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Verdict
+		slices := 0
+		for {
+			s.SetNodeLimit(s.Stats().Decisions + 2)
+			r = s.Solve(context.Background())
+			slices++
+			if r != Unknown {
+				break
+			}
+			if s.Stats().StopReason != StopNodeLimit {
+				t.Fatalf("instance %d: sliced solve stopped with %v", i, s.Stats().StopReason)
+			}
+			if slices > 100000 {
+				t.Fatalf("instance %d: no progress across %d slices", i, slices)
+			}
+		}
+		if slices > 1 {
+			resumedOnce = true
+		}
+		if r != wantR {
+			t.Fatalf("instance %d: sliced verdict %v != unsliced %v (in %d slices)", i, r, wantR, slices)
+		}
+		decisions := s.Stats().Decisions
+		if again := s.Solve(context.Background()); again != r {
+			t.Fatalf("instance %d: post-verdict re-solve returned %v, want %v", i, again, r)
+		}
+		if s.Stats().Decisions != decisions {
+			t.Fatalf("instance %d: post-verdict re-solve did %d more decisions",
+				i, s.Stats().Decisions-decisions)
+		}
+	}
+	if !resumedOnce {
+		t.Fatal("no instance ever needed more than one 2-decision slice — resume untested")
+	}
+}
+
+// denseRandomQBF builds a ∃∀∃ model-A-style instance dense enough that
+// propagation and pure literals alone cannot decide it — the sliced-resume
+// test needs searches spanning many 2-decision slices.
+func denseRandomQBF(rng *rand.Rand) *qbf.QBF {
+	const bs = 10
+	runs := make([]qbf.Run, 3)
+	var ex, un []qbf.Var
+	v := qbf.MinVar
+	for b := 0; b < 3; b++ {
+		quant := qbf.Exists
+		if b == 1 {
+			quant = qbf.Forall
+		}
+		vars := make([]qbf.Var, bs)
+		for j := range vars {
+			vars[j] = v
+			if quant == qbf.Exists {
+				ex = append(ex, v)
+			} else {
+				un = append(un, v)
+			}
+			v++
+		}
+		runs[b] = qbf.Run{Quant: quant, Vars: vars}
+	}
+	prefix := qbf.NewPrenexPrefix(int(v)-1, runs...)
+	var matrix []qbf.Clause
+	for len(matrix) < 6*3*bs {
+		seen := map[qbf.Var]bool{}
+		var c qbf.Clause
+		add := func(pool []qbf.Var) {
+			vv := pool[rng.Intn(len(pool))]
+			if seen[vv] {
+				return
+			}
+			seen[vv] = true
+			l := vv.PosLit()
+			if rng.Intn(2) == 0 {
+				l = vv.NegLit()
+			}
+			c = append(c, l)
+		}
+		if rng.Intn(2) == 0 {
+			add(un)
+		}
+		for len(c) < 5 {
+			add(ex)
+		}
+		cc, taut := c.Normalize()
+		if !taut {
+			matrix = append(matrix, cc)
+		}
+	}
+	return qbf.New(prefix, matrix)
+}

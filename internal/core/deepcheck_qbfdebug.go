@@ -225,9 +225,8 @@ func (s *Solver) checkConstraintCounters() {
 //   - Heuristic, cubes: a non-dead cube with an unassigned universal
 //     watches an unassigned universal or a true literal.
 //
-// Learned clauses get the structural tier only: an import installed under
-// a deep assignment can legitimately hold watches with no undef
-// existential (its events are optional pruning, not soundness).
+// Learned clauses get the structural tier only: they are consequences of
+// the originals, so a missed event costs pruning, never soundness.
 func (s *Solver) checkWatchInvariants() {
 	// Census: total registrations per live ref across both tables (stale
 	// entries for deleted refs are permitted — they are purged lazily).

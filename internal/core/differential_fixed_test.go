@@ -1,6 +1,6 @@
 package core_test
 
-// Differential over the fixed portfolio suite. The random trees and
+// Differential over the fixed suite. The random trees and
 // pigeonhole formulas of the in-package differential layer never produced
 // the shape that broke the first watcher implementation: a clause whose
 // only existential sits behind several universals of the same prenex block
@@ -10,8 +10,8 @@ package core_test
 // next falsification was a silent conflict — caught as a watcher-invariant
 // panic under qbfdebug, and a potential wrong verdict without it. This
 // suite pins those instances across option combos, straight and through
-// the node-budget slice-resume path the portfolio scheduler uses. It lives
-// in package core_test because randqbf imports core.
+// the node-budget resume path that sessions use to budget each solve call.
+// It lives in package core_test because randqbf imports core.
 
 import (
 	"context"
@@ -64,8 +64,8 @@ func TestFixedSuiteDifferential(t *testing.T) {
 	// the oracle on formulas small enough to evaluate.
 }
 
-// TestFixedSliceResume replays the portfolio scheduler's suspend/resume
-// shape — solve in 64-decision slices, raising the node budget between
+// TestFixedSliceResume replays the session node-budget path — solve in
+// 64-decision slices, raising the node budget with SetNodeLimit between
 // calls — on the fixed suite, and cross-checks the sliced verdict against
 // a straight solve. The watcher tables must survive arbitrarily many
 // suspensions at quiescent fixpoints.

@@ -102,10 +102,7 @@ func (s *Solver) rebuildBlockBonus() {
 }
 
 // initScores sets the initial scores to the associated counters, as in
-// Section VI, and computes the initial block bonuses. A non-zero
-// Options.ScoreSeed adds deterministic sub-unit jitter so that literals
-// with equal counters rank differently per seed — integer counter
-// differences still dominate, only ties are reshuffled.
+// Section VI, and computes the initial block bonuses.
 func (s *Solver) initScores() {
 	s.scoreInc = 1
 	for v := qbf.MinVar; v.Int() <= s.nVars; v++ {
@@ -113,23 +110,9 @@ func (s *Solver) initScores() {
 			i := litIdx(l)
 			s.lastCounter[i] = s.assocCounter(l)
 			s.score[i] = float64(s.lastCounter[i])
-			if s.opt.ScoreSeed != 0 {
-				s.score[i] += scoreJitter(s.opt.ScoreSeed, uint64(i))
-			}
 		}
 	}
 	s.rebuildBlockBonus()
-}
-
-// scoreJitter maps (seed, literal index) to a deterministic value in
-// [0, 1) via a splitmix64 step — cheap, stateless, and identical across
-// platforms, which keeps seeded runs reproducible.
-func scoreJitter(seed int64, i uint64) float64 {
-	z := uint64(seed) ^ (i+1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
 }
 
 // pickBranch selects the next branching literal among the branchable

@@ -54,10 +54,7 @@ func (m Mode) String() string {
 // Propagation is quantifier-aware watched literals over the arena clause
 // store: each clause watches its two ≺-deepest unfalsified existentials,
 // with any universal guard literal keeping universal reduction implicit;
-// cubes run the dual scheme. The occurrence-counter engine that used to sit
-// behind an Options.Propagation switch completed its one-release soak as
-// the watcher differential baseline and was removed; the differential net
-// now checks the watcher engine against the semantic oracle alone.
+// cubes run the dual scheme.
 type Options struct {
 	Mode Mode
 
@@ -99,13 +96,6 @@ type Options struct {
 	// cannot get back under the budget.
 	MemLimit int64
 
-	// ScoreSeed, when non-zero, deterministically perturbs the initial
-	// heuristic scores with sub-unit jitter, so equally scored literals
-	// break ties differently per seed. Portfolio drivers use distinct
-	// seeds to diversify otherwise identical configurations; 0 keeps the
-	// paper's exact initialization.
-	ScoreSeed int64
-
 	// CheckInvariants enables the deep self-checker: at construction the
 	// prefix tree is validated (structural well-formedness, algebraic laws
 	// of ≺, agreement of the solver's O(1) order test with Prefix.Before),
@@ -119,19 +109,19 @@ type Options struct {
 
 	// Telemetry, when non-nil, receives a structured event stream from the
 	// search: decisions, propagation fixpoints, conflicts, solutions,
-	// learning, reductions, imports, restarts, governor actions, and the
-	// final stop — each stamped with the decision level and a prefix-depth
-	// attribution. nil (the default) disables telemetry; the hot-path cost
-	// of the disabled state is one nil-check per event site, and a build
-	// with -tags qbfnotrace compiles the sites out entirely (the baseline
-	// scripts/check.sh measures overhead against).
+	// learning, reductions, restarts, frame operations, governor actions,
+	// and the final stop — each stamped with the decision level and a
+	// prefix-depth attribution. nil (the default) disables telemetry; the
+	// hot-path cost of the disabled state is one nil-check per event site,
+	// and a build with -tags qbfnotrace compiles the sites out entirely
+	// (the baseline scripts/check.sh measures overhead against).
 	Telemetry *telemetry.Tracer
 }
 
 // The outcome vocabulary — Verdict, StopReason, Stats, and the unified
-// Result struct — is shared with the portfolio and the bench harness and
-// lives in internal/result; core aliases it under its historical names so
-// existing callers keep compiling while every engine speaks one type set.
+// Result struct — is shared with the bench harness and the solve service
+// and lives in internal/result; core aliases it under its historical names
+// so existing callers keep compiling.
 
 // Verdict is the outcome of a solve call: Unknown, True, or False.
 type Verdict = result.Verdict

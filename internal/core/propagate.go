@@ -90,9 +90,9 @@ func (s *Solver) clauseUnsatisfied(ci int) {
 // alone: it enqueues the forced literal when the constraint is unit and
 // reports conflicts and solutions. Because it never trusts cached counters
 // or watch positions, callers may use it on constraints whose incremental
-// state is stale — the import wake-ups and the runtime-added clause wakes
-// of the incremental session path; a stale watch can at worst defer an
-// event to the visit that repairs it, never fabricate one.
+// state is stale — the runtime-added clause wakes of the incremental
+// session path; a stale watch can at worst defer an event to the visit
+// that repairs it, never fabricate one.
 //
 //qbf:hotpath
 func (s *Solver) scanState(ci int) (event, int) {
@@ -237,14 +237,12 @@ func (s *Solver) addLearned(lits []qbf.Lit, isCube bool, frame int) int {
 		s.learnedClauses++
 		s.stats.LearnedClauses++
 	}
-	if !s.importing {
-		if isCube {
-			s.emitLitsEv(telemetry.KindLearn, lits, 1)
-		} else {
-			s.emitLitsEv(telemetry.KindLearn, lits, 0)
-		}
+	if isCube {
+		s.emitLitsEv(telemetry.KindLearn, lits, 1)
+	} else {
+		s.emitLitsEv(telemetry.KindLearn, lits, 0)
 	}
-	if s.learnHook != nil && !s.importing {
+	if s.learnHook != nil {
 		s.learnHook(lits, isCube)
 	}
 	return id

@@ -174,18 +174,6 @@ type Solver struct {
 	learnedBytes int64           // estimated bytes held by live learned constraints
 	learnHook    func(lits []qbf.Lit, isCube bool)
 
-	// importHook, when non-nil, is polled at quiescent propagation
-	// fixpoints for constraints learned by sibling solvers (see share.go);
-	// importing suppresses the learnHook while an import is installed, so
-	// exchanged constraints are never echoed back to the exchange.
-	importHook func() []Shared
-	importing  bool
-
-	// dbgFormula retains the normalized working formula for the qbfdebug
-	// import oracle; nil unless built with -tags qbfdebug and
-	// CheckInvariants on (share_qbfdebug.go).
-	dbgFormula *qbf.QBF
-
 	// faultHook, when non-nil, fires at every propagation fixpoint with
 	// the fixpoint ordinal; the qbfdebug fault-injection harness uses it
 	// to force panics and cancellations at deterministic points. The
@@ -324,11 +312,8 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 
 	// Deep invariant layer (no-op unless built with -tags qbfdebug and
 	// opt.CheckInvariants is set): validate the finalized prefix and pin
-	// the solver's O(1) ≺ test to the structural Prefix.Before. The import
-	// oracle additionally retains the working formula so constraints
-	// arriving through SetImportHook can be re-derived semantically.
+	// the solver's O(1) ≺ test to the structural Prefix.Before.
 	s.attachInvariantPrefix(p)
-	s.attachImportOracle(work)
 
 	// Install the (universally reduced) original clauses.
 	s.levelStart = append(s.levelStart, 0)
@@ -387,6 +372,14 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 // (clause or cube) as it is added. Test suites use it to audit the
 // soundness of the learning machinery against the semantic oracle.
 func (s *Solver) SetLearnHook(f func(lits []qbf.Lit, isCube bool)) { s.learnHook = f }
+
+// SetNodeLimit replaces the decision budget (0 = unlimited) for subsequent
+// Solve calls. Together with the resume property of Solve — the solver's
+// state is preserved across an Unknown return, so re-entering continues
+// the same search without repeating work — this lets a driver run a search
+// in node-budget slices: solve to StopNodeLimit, raise the limit, solve
+// again. Sessions budget each solve call this way.
+func (s *Solver) SetNodeLimit(n int64) { s.opt.NodeLimit = n }
 
 // Stats returns search statistics accumulated so far.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -519,20 +512,6 @@ func (s *Solver) solve() Verdict {
 		s.stats.Fixpoints++
 		s.emitEv(telemetry.KindFixpoint, 0, int64(len(s.trail)), s.stats.Fixpoints)
 		s.injectFault(s.stats.Fixpoints)
-		if ev == evNone && s.importHook != nil {
-			// Quiescent fixpoint: install constraints shared by sibling
-			// solvers. An import that is terminal for the whole formula
-			// decides it right here; one that is conflicting or fired under
-			// the current assignment becomes this fixpoint's event and is
-			// handled below exactly like a propagation event; a merely unit
-			// import enqueues its forced literal, which the trail-drain
-			// check after the budget poll sends back to propagateAll.
-			var terminal Verdict
-			ev, ci, terminal = s.importShared()
-			if terminal != Unknown {
-				return terminal
-			}
-		}
 		// The fixpoint's event is fully handled before any budget check,
 		// for two reasons. Soundness: the memory governor must never run
 		// while ci is pending — a conflicting/fired learned constraint is
@@ -564,11 +543,6 @@ func (s *Solver) solve() Verdict {
 			return Unknown
 		}
 		if ev != evNone {
-			continue
-		}
-		if s.qhead < len(s.trail) {
-			// An imported constraint assigned a unit literal after the
-			// propagation fixpoint; drain it before branching.
 			continue
 		}
 		if s.level == 0 && s.opt.Incremental {

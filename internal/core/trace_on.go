@@ -50,7 +50,7 @@ func (s *Solver) emitConstraintEv(k telemetry.Kind, ci int) {
 }
 
 // emitLitsEv records an event about a literal set not (yet) installed as
-// a constraint — a freshly learned or imported one. b carries the
+// a constraint — a freshly learned one. b carries the
 // per-kind payload (0 clause / 1 cube).
 func (s *Solver) emitLitsEv(k telemetry.Kind, lits []qbf.Lit, b int64) {
 	t := s.opt.Telemetry

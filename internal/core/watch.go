@@ -400,7 +400,7 @@ func (s *Solver) visitCubeWatches(l qbf.Lit) (event, int) {
 // backtrack that could revive the clause unassigns a watch first. Cubes
 // use the quantifier dual. The caller handles degenerate states itself: an
 // asserting learned constraint assigns its forced literal immediately, and
-// an imported one is woken by a full scan right after installation.
+// a runtime-added clause is woken by a full scan at the next fixpoint.
 func (s *Solver) initWatches(ci int) {
 	n := s.ar.size(ci)
 	isCube := s.ar.isCube(ci)

@@ -166,8 +166,6 @@ func statsDelta(cur, prev core.Stats) core.Stats {
 	d.Restarts -= prev.Restarts
 	d.Fixpoints -= prev.Fixpoints
 	d.MemReductions -= prev.MemReductions
-	d.Imports -= prev.Imports
-	d.ImportsRejected -= prev.ImportsRejected
 	d.Time -= prev.Time
 	return d
 }

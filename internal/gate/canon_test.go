@@ -123,7 +123,6 @@ e 4 0
 	keys := map[string]string{
 		"flipped literal": Key(parse(t, flipped), "po", ""),
 		"mode to":         Key(parse(t, basePrenex), "to", "eu-au"),
-		"mode portfolio":  Key(parse(t, basePrenex), "portfolio", ""),
 		"strategy ed-ad":  Key(parse(t, basePrenex), "to", "ed-ad"),
 		"tree formula":    Key(parse(t, baseTree), "po", ""),
 	}

@@ -237,7 +237,7 @@ func normalizeOptions(req *server.SolveRequest) (mode, strategy string, err erro
 		mode = "po"
 	}
 	switch mode {
-	case "po", "portfolio":
+	case "po":
 		if req.Strategy != "" {
 			return "", "", gateError(`strategy "` + req.Strategy + `" is only meaningful with mode "to"`)
 		}

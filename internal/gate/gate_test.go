@@ -444,9 +444,10 @@ func TestSingleflightCoalescesConcurrentVariants(t *testing.T) {
 
 func TestBadRequestsRejectedAtTheEdge(t *testing.T) {
 	s := newStub(t)
-	_, url := newGate(t, []*stub{s}, nil)
+	g, url := newGate(t, []*stub{s}, nil)
 	cases := []server.SolveRequest{
 		{Formula: "p cnf 1 1\ne 1 0\n1 0\n", Mode: "nope"},
+		{Formula: "p cnf 1 1\ne 1 0\n1 0\n", Mode: "portfolio"},
 		{Formula: "p cnf 1 1\ne 1 0\n1 0\n", Mode: "po", Strategy: "eu-au"},
 		{Formula: "p cnf 1 1\ne 1 0\n1 0\n", Mode: "to", Strategy: "bogus"},
 		{Formula: "not a formula"},
@@ -459,6 +460,9 @@ func TestBadRequestsRejectedAtTheEdge(t *testing.T) {
 	}
 	if h := s.hits.Load(); h != 0 {
 		t.Errorf("invalid requests reached the backend %d times", h)
+	}
+	if st := g.Snapshot(); st.Routed != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 {
+		t.Errorf("invalid requests were routed or reached the cache: %+v", st)
 	}
 }
 

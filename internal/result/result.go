@@ -1,12 +1,12 @@
 // Package result is the shared vocabulary of solve outcomes: the verdict
 // of a run, the reason an undecided run stopped, the search-effort
 // statistics every engine reports, and the process exit codes the CLIs
-// derive from them. It exists so that the sequential engine
-// (internal/core), the racing portfolio (internal/portfolio), and the
-// benchmark harness (internal/bench) agree on one set of types instead of
-// each declaring its own — core aliases these types under its historical
-// names, so result is the single source of truth without forcing every
-// caller to import a second package.
+// derive from them. It exists so that the engine (internal/core), the
+// benchmark harness (internal/bench) and the solve service
+// (internal/server) agree on one set of types instead of each declaring
+// its own — core aliases these types under its historical names, so
+// result is the single source of truth without forcing every caller to
+// import a second package.
 package result
 
 import "time"
@@ -98,19 +98,13 @@ type Stats struct {
 	// MemReductions counts aggressive learned-DB reductions forced by
 	// memory pressure (as opposed to routine MaxLearned housekeeping).
 	MemReductions int64
-	// Imports counts constraints accepted from the import hook (including
-	// terminal ones); ImportsRejected counts batch entries discarded by
-	// structural validation. Both stay 0 outside portfolio runs.
-	Imports         int64
-	ImportsRejected int64
 	// StopReason explains an Unknown verdict; StopNone on decided runs.
 	StopReason StopReason
 }
 
 // Merge accumulates src into s: counters are summed, high-water marks take
 // the maximum. StopReason is left untouched — aggregating stop reasons is
-// a policy decision that belongs to the caller (see portfolio's
-// aggregateStop).
+// a policy decision that belongs to the caller.
 func (s *Stats) Merge(src Stats) {
 	s.Decisions += src.Decisions
 	s.Propagations += src.Propagations
@@ -125,8 +119,6 @@ func (s *Stats) Merge(src Stats) {
 	s.Time += src.Time
 	s.Fixpoints += src.Fixpoints
 	s.MemReductions += src.MemReductions
-	s.Imports += src.Imports
-	s.ImportsRejected += src.ImportsRejected
 	if src.MaxDecisionLevel > s.MaxDecisionLevel {
 		s.MaxDecisionLevel = src.MaxDecisionLevel
 	}

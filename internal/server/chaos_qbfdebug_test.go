@@ -139,7 +139,8 @@ func TestChaosStormWithFaultInjection(t *testing.T) {
 			case i%5 == 2:
 				req.Mode = "to"
 			case i%10 == 3:
-				req.Mode = "portfolio"
+				req.Mode = "to"
+				req.Strategy = "eu-ad"
 			}
 			switch {
 			case i%7 == 0:

@@ -58,7 +58,7 @@ func FuzzSolveRequest(f *testing.F) {
 			t.Fatalf("accepted formula fails validation: %v\nrequest: %+v", verr, req)
 		}
 		switch spec.mode {
-		case "po", "to", "portfolio":
+		case "po", "to":
 		default:
 			t.Fatalf("accepted unknown mode %q", spec.mode)
 		}

@@ -21,8 +21,8 @@ import (
 type SolveRequest struct {
 	// Formula is the instance text (QDIMACS or QTREE; required).
 	Formula string `json:"formula"`
-	// Mode selects the engine: "po" (default, partial-order tree search),
-	// "to" (total order on a prenex conversion), or "portfolio".
+	// Mode selects the engine: "po" (default, partial-order tree search)
+	// or "to" (total order on a prenex conversion).
 	Mode string `json:"mode,omitempty"`
 	// Strategy is the prenexing strategy for mode "to" on tree inputs:
 	// eu-au (default), eu-ad, ed-au, ed-ad.
@@ -44,8 +44,7 @@ type SolveRequest struct {
 type SessionRequest struct {
 	// Formula is the instance text (QDIMACS or QTREE; required).
 	Formula string `json:"formula"`
-	// Mode selects the engine: "po" (default) or "to". Sessions pin one
-	// solver, so "portfolio" is rejected.
+	// Mode selects the engine: "po" (default) or "to".
 	Mode string `json:"mode,omitempty"`
 	// Strategy is the prenexing strategy for mode "to" on tree inputs.
 	Strategy string `json:"strategy,omitempty"`
@@ -179,12 +178,11 @@ type Caps struct {
 // solveSpec is a validated, budget-clamped request ready to enter the
 // work queue.
 type solveSpec struct {
-	q         *qbf.QBF
-	mode      string // "po", "to", "portfolio"
-	strategy  prenex.Strategy
-	opt       core.Options
-	witness   bool
-	portfolio bool
+	q        *qbf.QBF
+	mode     string // "po" or "to"
+	strategy prenex.Strategy
+	opt      core.Options
+	witness  bool
 	// key groups requests for the circuit breaker and quarantine ledger:
 	// one breaker per solver configuration, so a poison config is isolated
 	// without blocking the others.
@@ -265,12 +263,6 @@ func buildSpec(req *SolveRequest, caps Caps) (*solveSpec, error) {
 			name = "eu-au"
 		}
 		spec.key = "to:" + name
-	case "portfolio":
-		if req.Strategy != "" {
-			return nil, fmt.Errorf("strategy %q is only meaningful with mode \"to\"", req.Strategy)
-		}
-		spec.portfolio = true
-		spec.key = "portfolio"
 	default:
 		return nil, fmt.Errorf("unknown mode %q", req.Mode)
 	}

@@ -70,7 +70,7 @@ func TestBuildSpecValidation(t *testing.T) {
 		{"unknown mode", SolveRequest{Formula: tinyTrue, Mode: "magic"}, "unknown mode"},
 		{"unknown strategy", SolveRequest{Formula: tinyTrue, Mode: "to", Strategy: "zz"}, "unknown strategy"},
 		{"strategy with po", SolveRequest{Formula: tinyTrue, Strategy: "eu-au"}, "only meaningful"},
-		{"strategy with portfolio", SolveRequest{Formula: tinyTrue, Mode: "portfolio", Strategy: "eu-au"}, "only meaningful"},
+		{"mode portfolio", SolveRequest{Formula: tinyTrue, Mode: "portfolio"}, "unknown mode"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,26 +84,24 @@ func TestBuildSpecValidation(t *testing.T) {
 
 func TestBuildSpecModesAndKeys(t *testing.T) {
 	cases := []struct {
-		req     SolveRequest
-		mode    core.Mode
-		key     string
-		portfol bool
+		req  SolveRequest
+		mode core.Mode
+		key  string
 	}{
-		{SolveRequest{Formula: tinyTrue}, core.ModePartialOrder, "po", false},
-		{SolveRequest{Formula: tinyTrue, Mode: "po"}, core.ModePartialOrder, "po", false},
-		{SolveRequest{Formula: tinyTrue, Mode: "to"}, core.ModeTotalOrder, "to:eu-au", false},
-		{SolveRequest{Formula: tinyTree, Mode: "to", Strategy: "ed-ad"}, core.ModeTotalOrder, "to:ed-ad", false},
-		{SolveRequest{Formula: tinyTrue, Mode: "portfolio"}, 0, "portfolio", true},
+		{SolveRequest{Formula: tinyTrue}, core.ModePartialOrder, "po"},
+		{SolveRequest{Formula: tinyTrue, Mode: "po"}, core.ModePartialOrder, "po"},
+		{SolveRequest{Formula: tinyTrue, Mode: "to"}, core.ModeTotalOrder, "to:eu-au"},
+		{SolveRequest{Formula: tinyTree, Mode: "to", Strategy: "ed-ad"}, core.ModeTotalOrder, "to:ed-ad"},
 	}
 	for _, c := range cases {
 		spec, err := buildSpec(&c.req, Caps{})
 		if err != nil {
 			t.Fatalf("%+v: %v", c.req, err)
 		}
-		if spec.key != c.key || spec.portfolio != c.portfol {
-			t.Errorf("%+v: key=%q portfolio=%v, want %q/%v", c.req, spec.key, spec.portfolio, c.key, c.portfol)
+		if spec.key != c.key {
+			t.Errorf("%+v: key=%q, want %q", c.req, spec.key, c.key)
 		}
-		if !c.portfol && spec.opt.Mode != c.mode {
+		if spec.opt.Mode != c.mode {
 			t.Errorf("%+v: mode=%v, want %v", c.req, spec.opt.Mode, c.mode)
 		}
 	}

@@ -1,9 +1,8 @@
 // Package server is the solve service: an HTTP/JSON daemon that keeps a
 // long-lived solver process alive and well-behaved under a stream of
 // requests. It wraps the engine's existing robustness primitives —
-// per-request budgets with StopReasons, SafeSolve panic containment, the
-// portfolio backend, and the ctx-first Solve API — in a service-level
-// envelope:
+// per-request budgets with StopReasons, SafeSolve panic containment, and
+// the ctx-first Solve API — in a service-level envelope:
 //
 //   - admission control: a bounded work queue with per-request queue
 //     deadlines; when the queue is full the server sheds load with 429 +
@@ -37,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/portfolio"
 	"repro/internal/result"
 	"repro/internal/telemetry"
 )
@@ -103,8 +101,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// Breaker tunes the per-configuration circuit breakers.
 	Breaker BreakerConfig
-	// PortfolioWorkers sizes mode=portfolio races (0 = 4).
-	PortfolioWorkers int
 	// MaxSessions caps the sticky-session store (0 = 64). Opening a
 	// session beyond the cap evicts the least-recently-used idle session;
 	// when every session is mid-solve the open sheds with 429.
@@ -138,7 +134,7 @@ type Config struct {
 	// process at an exact journal position.
 	JournalOnAppend func(total int64)
 
-	// testSolverHook, when non-nil, runs after each sequential solver is
+	// testSolverHook, when non-nil, runs after each one-shot solver is
 	// constructed, before solving. In-package chaos tests use it to
 	// install qbfdebug fault-injection hooks keyed on the request.
 	testSolverHook func(spec *solveSpec, s *core.Solver)
@@ -162,9 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.PortfolioWorkers <= 0 {
-		c.PortfolioWorkers = 4
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
@@ -534,27 +527,6 @@ func (s *Server) serveJob(j *job) {
 // solve runs the spec under full containment and maps the outcome to its
 // HTTP status.
 func (s *Server) solve(ctx context.Context, spec *solveSpec) jobResult {
-	if spec.portfolio {
-		rep, err := portfolio.Solve(ctx, spec.q, portfolio.Options{
-			Workers: s.cfg.PortfolioWorkers,
-			Share:   true,
-			Base:    spec.opt,
-		})
-		if err != nil || rep.Err() != nil {
-			if err == nil {
-				err = rep.Err()
-			}
-			return jobResult{status: result.StatusInternalError,
-				resp: solveResponse(result.Unknown, result.StopPanicked, rep.Stats, nil, err)}
-		}
-		var wit []int
-		if spec.witness && rep.Verdict == core.True {
-			wit = witnessInts(rep.Witness, spec.q.MaxVar())
-		}
-		return jobResult{status: result.HTTPStatus(rep.Verdict, rep.Stop),
-			resp: solveResponse(rep.Verdict, rep.Stop, rep.Stats, wit, nil)}
-	}
-
 	solver, err := core.NewSolver(spec.q, spec.opt)
 	if err != nil {
 		// buildSpec validated the formula, so a construction failure is a

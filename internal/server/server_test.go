@@ -96,7 +96,6 @@ func TestServeVerdicts(t *testing.T) {
 		{"to true", SolveRequest{Formula: tinyTrue, Mode: "to"}, "TRUE"},
 		{"to tree", SolveRequest{Formula: tinyTree, Mode: "to", Strategy: "ed-au"}, "TRUE"},
 		{"po tree", SolveRequest{Formula: tinyTree}, "TRUE"},
-		{"portfolio", SolveRequest{Formula: tinyFalse, Mode: "portfolio"}, "FALSE"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -154,6 +153,12 @@ func TestServeRejections(t *testing.T) {
 		status, resp := postSolve(t, ts.URL, SolveRequest{Formula: "p cnf zz"})
 		if status != result.StatusBadRequest || resp.Error == "" {
 			t.Fatalf("got %d %+v, want 400", status, resp)
+		}
+	})
+	t.Run("portfolio", func(t *testing.T) {
+		status, resp := postSolve(t, ts.URL, SolveRequest{Formula: tinyFalse, Mode: "portfolio"})
+		if status != result.StatusBadRequest || !strings.Contains(resp.Error, "unknown mode") {
+			t.Fatalf("got %d %+v, want 400 unknown mode", status, resp)
 		}
 	})
 	t.Run("oversized body", func(t *testing.T) {

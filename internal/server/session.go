@@ -147,9 +147,6 @@ func (st *sessionStore) handleCreate(w http.ResponseWriter, r *http.Request) {
 // sessionSpec validates a session-create request into a solve spec (the
 // shared path for live creates and boot recovery).
 func sessionSpec(req *SessionRequest, caps Caps) (*solveSpec, error) {
-	if req.Mode == "portfolio" {
-		return nil, fmt.Errorf("sessions pin one solver; mode \"portfolio\" is not supported")
-	}
 	return buildSpec(&SolveRequest{
 		Formula:   req.Formula,
 		Mode:      req.Mode,

@@ -145,7 +145,7 @@ func TestSessionSeqProtocol(t *testing.T) {
 }
 
 // TestSessionBadRequests sweeps the rejection paths: malformed ops,
-// out-of-prefix literals, portfolio mode, bad JSON, and bogus ids.
+// out-of-prefix literals, an unknown mode, bad JSON, and bogus ids.
 func TestSessionBadRequests(t *testing.T) {
 	_, ts := testService(t, Config{Workers: 1})
 

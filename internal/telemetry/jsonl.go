@@ -12,16 +12,16 @@ import (
 
 // jsonEvent is the wire form of an Event. Every field is always present
 // (no omitempty): trace consumers get a fixed schema and zero values stay
-// distinguishable from absent ones.
+// distinguishable from absent ones. ReadEvents ignores fields it does not
+// know, so traces with extra fields (older ones carry "w"/"g" worker tags)
+// still replay.
 type jsonEvent struct {
-	T      int64  `json:"t"`
-	Ev     string `json:"ev"`
-	Worker int32  `json:"w"`
-	Group  int32  `json:"g"`
-	Level  int32  `json:"lvl"`
-	Depth  int32  `json:"d"`
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
+	T     int64  `json:"t"`
+	Ev    string `json:"ev"`
+	Level int32  `json:"lvl"`
+	Depth int32  `json:"d"`
+	A     int64  `json:"a"`
+	B     int64  `json:"b"`
 }
 
 // JSONLSink writes one JSON object per event to an io.Writer, newline
@@ -60,11 +60,7 @@ func (s *JSONLSink) Emit(e Event) {
 	b = strconv.AppendInt(b, e.T, 10)
 	b = append(b, `,"ev":"`...)
 	b = append(b, e.Kind.String()...)
-	b = append(b, `","w":`...)
-	b = strconv.AppendInt(b, int64(e.Worker), 10)
-	b = append(b, `,"g":`...)
-	b = strconv.AppendInt(b, int64(e.Group), 10)
-	b = append(b, `,"lvl":`...)
+	b = append(b, `","lvl":`...)
 	b = strconv.AppendInt(b, int64(e.Level), 10)
 	b = append(b, `,"d":`...)
 	b = strconv.AppendInt(b, int64(e.Depth), 10)
@@ -124,10 +120,7 @@ func ReadEvents(r io.Reader, fn func(Event) error) error {
 		if !ok {
 			return fmt.Errorf("trace line %d: unknown event kind %q", line, je.Ev)
 		}
-		e := Event{
-			T: je.T, Kind: k, Worker: je.Worker, Group: je.Group,
-			Level: je.Level, Depth: je.Depth, A: je.A, B: je.B,
-		}
+		e := Event{T: je.T, Kind: k, Level: je.Level, Depth: je.Depth, A: je.A, B: je.B}
 		if err := fn(e); err != nil {
 			return err
 		}
@@ -135,17 +128,15 @@ func ReadEvents(r io.Reader, fn func(Event) error) error {
 	return sc.Err()
 }
 
-// Summary aggregates a replayed trace: event totals per kind, per worker,
-// the decision count per prefix depth (the histogram the paper's
-// PO-vs-TO comparison needs), and the gate's routing/hedging/cache
-// aggregates when the trace carries front-tier events.
+// Summary aggregates a replayed trace: event totals per kind, the
+// decision count per prefix depth (the histogram the paper's PO-vs-TO
+// comparison needs), and the gate's routing/hedging/cache aggregates when
+// the trace carries front-tier events.
 type Summary struct {
 	Total     int64
 	ByKind    map[Kind]int64
-	ByWorker  map[int32]int64
 	DecDepth  map[int32]int64 // decisions per prefix depth
 	LastNanos int64           // timestamp of the last event
-	Workers   int             // distinct worker tags (including -1)
 
 	// ByBackend counts gate route events per backend index (KindRoute.A),
 	// and Failovers those with a non-zero attempt ordinal.
@@ -173,14 +164,12 @@ type Summary struct {
 func Summarize(r io.Reader) (Summary, error) {
 	s := Summary{
 		ByKind:    make(map[Kind]int64),
-		ByWorker:  make(map[int32]int64),
 		DecDepth:  make(map[int32]int64),
 		ByBackend: make(map[int64]int64),
 	}
 	err := ReadEvents(r, func(e Event) error {
 		s.Total++
 		s.ByKind[e.Kind]++
-		s.ByWorker[e.Worker]++
 		switch e.Kind {
 		case KindDecision:
 			s.DecDepth[e.Depth]++
@@ -218,16 +207,15 @@ func Summarize(r io.Reader) (Summary, error) {
 		}
 		return nil
 	})
-	s.Workers = len(s.ByWorker)
 	return s, err
 }
 
 // WriteText renders the summary as the human-readable report `qbfstat
-// trace` prints: totals, per-kind counts in kind order, per-worker
-// counts, and the decision-by-prefix-depth histogram.
+// trace` prints: totals, per-kind counts in kind order, and the
+// decision-by-prefix-depth histogram.
 func (s Summary) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "events=%d workers=%d span=%s\n",
-		s.Total, s.Workers, fmtNanos(s.LastNanos)); err != nil {
+	if _, err := fmt.Fprintf(w, "events=%d span=%s\n",
+		s.Total, fmtNanos(s.LastNanos)); err != nil {
 		return err
 	}
 	for i := 0; i < int(numKinds); i++ {
@@ -236,16 +224,6 @@ func (s Summary) WriteText(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "  %-10s %d\n", k, n); err != nil {
 				return err
 			}
-		}
-	}
-	workers := make([]int32, 0, len(s.ByWorker))
-	for wid := range s.ByWorker {
-		workers = append(workers, wid)
-	}
-	sort.Slice(workers, func(a, b int) bool { return workers[a] < workers[b] })
-	for _, wid := range workers {
-		if _, err := fmt.Fprintf(w, "  worker %-3d %d\n", wid, s.ByWorker[wid]); err != nil {
-			return err
 		}
 	}
 	depths := make([]int32, 0, len(s.DecDepth))

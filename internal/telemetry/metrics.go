@@ -7,9 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// Metrics is an atomic per-kind event counter registry. One registry is
-// shared by every tracer forked from the same New call, so a portfolio
-// run aggregates across workers for free. The zero value is ready to use.
+// Metrics is an atomic per-kind event counter registry, safe for
+// concurrent tracers that share it. The zero value is ready to use.
 type Metrics struct {
 	counts [numKinds]atomic.Int64
 }

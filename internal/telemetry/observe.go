@@ -12,9 +12,8 @@ import (
 // run with none of the flags set gets a nil Tracer — the solver's
 // disabled path — at the cost of one nil check per event site.
 type Observability struct {
-	// Tracer is the root tracer to place in core.Options.Telemetry (the
-	// portfolio layer forks it per worker). Nil when no exporter was
-	// requested.
+	// Tracer is the tracer to place in core.Options.Telemetry. Nil when
+	// no exporter was requested.
 	Tracer *Tracer
 	// Metrics is the expvar-published counter registry, nil unless a
 	// metrics address was requested.

@@ -1,15 +1,14 @@
 // Package telemetry is the solver's observability layer: a structured
 // event stream (decisions, propagation fixpoints, conflicts/solutions,
-// learning, reductions, imports, restarts, scheduling slices, governor
-// actions, stops), an atomic metrics registry exposable via expvar, and
-// JSONL trace export with a replay/summarize reader.
+// learning, reductions, restarts, governor actions, stops, and the
+// service, gate, session and journal events above the solver), an atomic
+// metrics registry exposable via expvar, and JSONL trace export with a
+// replay/summarize reader.
 //
 // The paper's claims are about search *dynamics* — where in the prefix
 // order the partial-order heuristic branches, how learning pays off per
 // decision level — which end-of-run aggregates cannot show. Every event
-// therefore carries the decision level and a prefix-depth attribution,
-// and portfolio runs tag each event with the worker index and structure
-// group, so QUBE(PO)-vs-QUBE(TO) divergence is visible per race.
+// therefore carries the decision level and a prefix-depth attribution.
 //
 // Cost contract: a nil *Tracer is the disabled state. Every hot-path hook
 // in the solver compiles down to a single nil-check and allocates
@@ -18,7 +17,8 @@
 // tracing enabled, Emit fills one stack-allocated Event, bumps one atomic
 // counter, and hands the event to the sink; the bundled JSONL sink
 // serializes without reflection into a reused buffer under a mutex, so
-// concurrent portfolio workers can share one sink.
+// concurrent emitters (the solve service's workers and the gate) can share
+// one sink.
 package telemetry
 
 import "time"
@@ -39,23 +39,17 @@ const (
 	// KindSolution: a cube fired or the matrix emptied.
 	// A = constraint id (-1 for matrix-empty), B = constraint size.
 	KindSolution
-	// KindLearn: a constraint was learned locally.
+	// KindLearn: a constraint was learned.
 	// A = length, B = 0 for a clause (nogood), 1 for a cube (good).
 	KindLearn
 	// KindReduce: universal/existential reduction removed literals from a
-	// working constraint during analysis or import.
+	// working constraint during analysis.
 	// A = literals removed, B = 0 for universal (clause), 1 for
 	// existential (cube) reduction.
 	KindReduce
-	// KindImport: a constraint shared by a sibling solver was accepted.
-	// A = length after re-reduction, B = 0 clause / 1 cube.
-	KindImport
 	// KindRestart: a Luby-scheduled restart abandoned the current branch.
 	// A = Luby index, B = next restart limit.
 	KindRestart
-	// KindSlice: the portfolio scheduler granted a worker one slice.
-	// A = attempt ordinal, B = node limit for the slice (0 = none).
-	KindSlice
 	// KindGovernor: the memory governor ran a forced reduction round.
 	// A = learned bytes before, B = byte budget.
 	KindGovernor
@@ -102,8 +96,8 @@ const (
 
 var kindNames = [numKinds]string{
 	"decision", "fixpoint", "conflict", "solution", "learn", "reduce",
-	"import", "restart", "slice", "governor", "stop", "admit", "shed",
-	"serve", "route", "hedge", "cachehit", "frame", "session", "journal",
+	"restart", "governor", "stop", "admit", "shed", "serve", "route",
+	"hedge", "cachehit", "frame", "session", "journal",
 }
 
 func (k Kind) String() string {
@@ -133,39 +127,34 @@ func Kinds() []Kind {
 	return out
 }
 
-// Event is one structured telemetry record. Worker and Group are -1
-// outside portfolio runs; Level is the decision level at emission; Depth
-// is the prefix-depth attribution (the prefix level of the variable or
-// constraint the event is about, 0 when not applicable). A and B carry
-// the per-kind payload documented on the Kind constants.
+// Event is one structured telemetry record. Level is the decision level
+// at emission; Depth is the prefix-depth attribution (the prefix level of
+// the variable or constraint the event is about, 0 when not applicable).
+// A and B carry the per-kind payload documented on the Kind constants.
 type Event struct {
-	T      int64 // nanoseconds since the tracer started
-	Kind   Kind
-	Worker int32
-	Group  int32
-	Level  int32
-	Depth  int32
-	A, B   int64
+	T     int64 // nanoseconds since the tracer started
+	Kind  Kind
+	Level int32
+	Depth int32
+	A, B  int64
 }
 
 // Sink consumes events. Implementations must be safe for concurrent use:
-// portfolio workers share one sink. Emit must not retain the event past
-// the call.
+// the solve service's workers and the gate share one sink. Emit must not
+// retain the event past the call.
 type Sink interface {
 	Emit(e Event)
 }
 
-// Tracer binds a sink and a metrics registry to static worker/group tags.
-// The zero of usefulness is the nil Tracer: every method on a nil
-// receiver is a no-op, which is what makes the disabled hot path one
-// pointer compare. Tracers are immutable after construction; Fork derives
-// per-worker tracers sharing the sink, metrics, and time base.
+// Tracer binds a sink and a metrics registry to a time base. The zero of
+// usefulness is the nil Tracer: every method on a nil receiver is a no-op,
+// which is what makes the disabled hot path one pointer compare. Tracers
+// are immutable after construction, so one tracer may be shared by
+// concurrent emitters.
 type Tracer struct {
-	sink   Sink
-	m      *Metrics
-	worker int32
-	group  int32
-	start  time.Time
+	sink  Sink
+	m     *Metrics
+	start time.Time
 }
 
 // New returns a tracer emitting to sink (may be nil for metrics-only) and
@@ -175,24 +164,12 @@ func New(sink Sink, m *Metrics) *Tracer {
 	if sink == nil && m == nil {
 		return nil
 	}
-	return &Tracer{sink: sink, m: m, worker: -1, group: -1, start: time.Now()}
-}
-
-// Fork derives a tracer tagged with a portfolio worker index and
-// structure group, sharing the parent's sink, metrics, and time base.
-// Fork of a nil tracer is nil.
-func (t *Tracer) Fork(worker, group int) *Tracer {
-	if t == nil {
-		return nil
-	}
-	ft := *t
-	ft.worker, ft.group = int32(worker), int32(group)
-	return &ft
+	return &Tracer{sink: sink, m: m, start: time.Now()}
 }
 
 // Emit records one event: the metrics counter for k is bumped and, when a
-// sink is attached, a timestamped Event carrying the tracer's tags is
-// delivered. Emit on a nil tracer is a no-op.
+// sink is attached, a timestamped Event is delivered. Emit on a nil
+// tracer is a no-op.
 //
 //qbf:hotpath
 func (t *Tracer) Emit(k Kind, level, depth int, a, b int64) {
@@ -204,14 +181,12 @@ func (t *Tracer) Emit(k Kind, level, depth int, a, b int64) {
 	}
 	if t.sink != nil {
 		t.sink.Emit(Event{
-			T:      time.Since(t.start).Nanoseconds(),
-			Kind:   k,
-			Worker: t.worker,
-			Group:  t.group,
-			Level:  int32(level),
-			Depth:  int32(depth),
-			A:      a,
-			B:      b,
+			T:     time.Since(t.start).Nanoseconds(),
+			Kind:  k,
+			Level: int32(level),
+			Depth: int32(depth),
+			A:     a,
+			B:     b,
 		})
 	}
 }

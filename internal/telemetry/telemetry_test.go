@@ -13,36 +13,53 @@ import (
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(KindDecision, 1, 2, 3, 4) // must not panic
-	if tr.Fork(0, 0) != nil {
-		t.Fatal("Fork of nil tracer must stay nil")
-	}
 	if New(nil, nil) != nil {
 		t.Fatal("New(nil, nil) must return the disabled (nil) tracer")
 	}
 }
 
+// TestEmitCountsAndTags: concurrent emitters sharing one tracer bump the
+// metrics once per event and deliver every event to the sink with its
+// level, depth and payload intact.
 func TestEmitCountsAndTags(t *testing.T) {
 	m := NewMetrics()
 	var sink memSink
 	tr := New(&sink, m)
-	tr.Emit(KindDecision, 3, 2, 7, 0)
-	w := tr.Fork(4, 1)
-	w.Emit(KindLearn, 5, 3, 9, 1)
+	const emitters = 4
+	var wg sync.WaitGroup
+	for w := 0; w < emitters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tr.Emit(KindDecision, 3, 2, int64(w), 0)
+			tr.Emit(KindLearn, 5, 3, int64(w), 1)
+		}(w)
+	}
+	wg.Wait()
 
-	if got := m.Count(KindDecision); got != 1 {
-		t.Fatalf("decision count = %d", got)
+	if got := m.Count(KindDecision); got != emitters {
+		t.Fatalf("decision count = %d, want %d", got, emitters)
 	}
-	if got := m.Count(KindLearn); got != 1 {
-		t.Fatalf("learn count = %d", got)
+	if got := m.Count(KindLearn); got != emitters {
+		t.Fatalf("learn count = %d, want %d", got, emitters)
 	}
-	if len(sink.events) != 2 {
-		t.Fatalf("sink got %d events", len(sink.events))
+	if len(sink.events) != 2*emitters {
+		t.Fatalf("sink got %d events, want %d", len(sink.events), 2*emitters)
 	}
-	if e := sink.events[0]; e.Worker != -1 || e.Group != -1 || e.Level != 3 || e.Depth != 2 || e.A != 7 {
-		t.Fatalf("root event = %+v", e)
+	seen := map[Kind]map[int64]bool{KindDecision: {}, KindLearn: {}}
+	for _, e := range sink.events {
+		switch {
+		case e.Kind == KindDecision && e.Level == 3 && e.Depth == 2 && e.B == 0:
+		case e.Kind == KindLearn && e.Level == 5 && e.Depth == 3 && e.B == 1:
+		default:
+			t.Fatalf("event = %+v", e)
+		}
+		seen[e.Kind][e.A] = true
 	}
-	if e := sink.events[1]; e.Worker != 4 || e.Group != 1 || e.Kind != KindLearn || e.B != 1 {
-		t.Fatalf("forked event = %+v", e)
+	for k, as := range seen {
+		if len(as) != emitters {
+			t.Fatalf("%v events carry payloads %v, want one per emitter", k, as)
+		}
 	}
 }
 
@@ -75,11 +92,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr := New(sink, nil)
 	want := []Event{}
 	for i, k := range Kinds() {
-		w := tr.Fork(i%3, i%2)
-		w.Emit(k, i, i+1, int64(i*10), int64(i))
+		tr.Emit(k, i, i+1, int64(i*10), int64(i))
 		want = append(want, Event{
-			Kind: k, Worker: int32(i % 3), Group: int32(i % 2),
-			Level: int32(i), Depth: int32(i + 1), A: int64(i * 10), B: int64(i),
+			Kind: k, Level: int32(i), Depth: int32(i + 1), A: int64(i * 10), B: int64(i),
 		})
 	}
 	if err := sink.Close(); err != nil {
@@ -105,19 +120,20 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJSONLConcurrentEmit: emitters sharing one tracer and one JSONL sink
+// must produce whole, decodable lines, and every emitted event must replay.
 func TestJSONLConcurrentEmit(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
 	tr := New(sink, NewMetrics())
-	const workers, per = 8, 200
+	const emitters, per = 8, 200
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < emitters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ft := tr.Fork(w, 0)
 			for i := 0; i < per; i++ {
-				ft.Emit(KindDecision, i, 1, int64(i), 0)
+				tr.Emit(KindDecision, i, 1, int64(w*per+i), 0)
 			}
 		}(w)
 	}
@@ -125,15 +141,18 @@ func TestJSONLConcurrentEmit(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Summarize(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	seen := make(map[int64]bool, emitters*per)
+	if err := ReadEvents(bytes.NewReader(buf.Bytes()), func(e Event) error {
+		if e.Kind != KindDecision || seen[e.A] {
+			t.Fatalf("unexpected or duplicated event %+v", e)
+		}
+		seen[e.A] = true
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if sum.Total != workers*per || sum.ByKind[KindDecision] != workers*per {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if sum.Workers != workers {
-		t.Fatalf("workers = %d, want %d", sum.Workers, workers)
+	if len(seen) != emitters*per {
+		t.Fatalf("replayed %d distinct events, want %d", len(seen), emitters*per)
 	}
 }
 
@@ -149,7 +168,7 @@ func TestSummarizeRejectsCorruptTrace(t *testing.T) {
 func TestSummaryWriteText(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONLSink(&buf)
-	tr := New(sink, nil).Fork(0, 0)
+	tr := New(sink, nil)
 	tr.Emit(KindDecision, 1, 2, 5, 0)
 	tr.Emit(KindDecision, 2, 2, 6, 0)
 	tr.Emit(KindConflict, 2, 1, 0, 3)
@@ -165,7 +184,7 @@ func TestSummaryWriteText(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, want := range []string{"events=3", "decision", "conflict", "worker 0", "decisions@depth2"} {
+	for _, want := range []string{"events=3", "decision", "conflict", "decisions@depth2"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("summary text missing %q:\n%s", want, text)
 		}
@@ -248,7 +267,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 
 func BenchmarkEmitJSONL(b *testing.B) {
 	sink := NewJSONLSink(io.Discard)
-	tr := New(sink, NewMetrics()).Fork(0, 0)
+	tr := New(sink, NewMetrics())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(KindDecision, 3, 2, int64(i), 0)

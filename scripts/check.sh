@@ -20,19 +20,17 @@
 #                          cannot read degrades to a warning, not a
 #                          failure)
 #   6. go test -race       (full suite under the race detector, including
-#                          the portfolio differential and metamorphic
-#                          layers and the exchange-ring stress tests)
+#                          the differential and metamorphic layers)
 #   7. go test -tags qbfdebug -race
-#                          (solver + harness + portfolio suites with deep
-#                          invariant checking, import oracle re-derivation,
-#                          and the fault-injection hook live; and the
-#                          server + gate chaos suites: the solve service
-#                          and the qbfgate front tier under hundreds of
-#                          concurrent requests with fault injection,
-#                          breaker trips and recovery, backend kill/hang/
-#                          flap storms, total-outage cache degradation,
-#                          oracle agreement, drain under load — see
-#                          DESIGN.md §10 and §11)
+#                          (solver + harness suites with deep invariant
+#                          checking and the fault-injection hook live;
+#                          and the server + gate chaos suites: the solve
+#                          service and the qbfgate front tier under
+#                          hundreds of concurrent requests with fault
+#                          injection, breaker trips and recovery, backend
+#                          kill/hang/flap storms, total-outage cache
+#                          degradation, oracle agreement, drain under
+#                          load — see DESIGN.md §10 and §11)
 #   8. solver differential + incremental metamorphic
 #                          (the strategy/mode combo agreement suites, the
 #                          fixed-pool differential, the push/pop/assume
@@ -130,8 +128,8 @@ go run ./cmd/qbflint -gate hotpath ./internal/telemetry ./internal/core
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/portfolio/... ./internal/server/... ./internal/gate/..."
-go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/portfolio/... ./internal/server/... ./internal/gate/...
+echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
+go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
 echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants)"
 go test -tags qbfdebug -race -count=1 \
