@@ -77,7 +77,7 @@ func main() {
 		q = prenex.Miniscope(q)
 	}
 	if *doPrenex != "" {
-		s, err := parseStrategy(*doPrenex)
+		s, err := prenex.ParseStrategy(*doPrenex)
 		if err != nil {
 			fail(err)
 		}
@@ -147,20 +147,6 @@ func pickModel(name string, size int) (*models.Model, error) {
 		return models.Arbiter(size), nil
 	}
 	return nil, fmt.Errorf("unknown model %q", name)
-}
-
-func parseStrategy(s string) (prenex.Strategy, error) {
-	switch s {
-	case "eu-au":
-		return prenex.EUpAUp, nil
-	case "eu-ad":
-		return prenex.EUpADown, nil
-	case "ed-au":
-		return prenex.EDownAUp, nil
-	case "ed-ad":
-		return prenex.EDownADown, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", s)
 }
 
 func fail(err error) {

@@ -82,7 +82,7 @@ func main() {
 	case "to":
 		opt.Mode = core.ModeTotalOrder
 		if !q.Prefix.IsPrenex() {
-			s, err := parseStrategy(*strategy)
+			s, err := prenex.ParseStrategy(*strategy)
 			if err != nil {
 				fail(err)
 			}
@@ -170,20 +170,6 @@ func readInput(path string) (*qbf.QBF, error) {
 	}
 	defer f.Close()
 	return qdimacs.Read(f)
-}
-
-func parseStrategy(s string) (prenex.Strategy, error) {
-	switch s {
-	case "eu-au":
-		return prenex.EUpAUp, nil
-	case "eu-ad":
-		return prenex.EUpADown, nil
-	case "ed-au":
-		return prenex.EDownAUp, nil
-	case "ed-ad":
-		return prenex.EDownADown, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", s)
 }
 
 func fail(err error) {

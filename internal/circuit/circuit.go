@@ -82,15 +82,6 @@ func (b *Builder) Var(v qbf.Var) Node {
 	return n
 }
 
-// Lit returns the node for a qbf literal.
-func (b *Builder) Lit(l qbf.Lit) Node {
-	n := b.Var(l.Var())
-	if !l.Positive() {
-		n = n.Neg()
-	}
-	return n
-}
-
 func (b *Builder) push(g gate) Node {
 	key := gateKey(g)
 	if n, ok := b.hash[key]; ok {

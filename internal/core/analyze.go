@@ -84,15 +84,6 @@ func (w *workSet) slice() []qbf.Lit {
 	return out
 }
 
-// universalReduceSet applies Lemma 3 to the working clause: universal
-// literals with no existential literal of the set in their scope are
-// removed.
-func (s *Solver) universalReduceSet(w *workSet) { s.reduceSet(w, qbf.Exists) }
-
-// existentialReduceSet is the dual reduction for working cubes: existential
-// literals with no universal literal of the set in their scope are removed.
-func (s *Solver) existentialReduceSet(w *workSet) { s.reduceSet(w, qbf.Forall) }
-
 // reduceSet removes every member of w whose quantifier is not keep and
 // which has no keep member in its scope. The block of each keep member and
 // the block's ancestors get this call's stamp; a walk stops at a block that
@@ -134,25 +125,35 @@ func (s *Solver) reduceSet(w *workSet, keep qbf.Quant) {
 	}
 }
 
-// analyzeConflict derives a learned clause from the conflicting clause ci
-// by Q-resolution on existential unit-propagated literals, universally
-// reducing after every step.
-func (s *Solver) analyzeConflict(ci int) analysis {
+// analyze derives a learned constraint of primary quantifier q from the
+// event's constraint ci: a clause (q = ∃) by Q-resolution on existential
+// unit-propagated literals, a cube (q = ∀) by the dual term resolution on
+// universal ones, reducing after every step (Lemma 3 and its dual). ci is
+// the conflicting clause or the fired cube, or -1 when the matrix became
+// empty; the initial good is then a set of true literals covering every
+// original clause (Section III). The result's frame is the deepest frame
+// tag among ci and the reasons resolved with; every cube's tag is 0.
+func (s *Solver) analyze(ci int, q qbf.Quant) analysis {
 	w := s.newWorkSet()
-	for k, n := 0, s.ar.size(ci); k < n; k++ {
-		w.add(s.ar.lit(ci, k))
+	frame := 0
+	if ci >= 0 {
+		for k, n := 0, s.ar.size(ci); k < n; k++ {
+			w.add(s.ar.lit(ci, k))
+		}
+		s.ar.bumpActivity(ci)
+		frame = s.ar.frame(ci)
+	} else {
+		s.coverCube(w)
 	}
-	s.universalReduceSet(w)
-	s.ar.bumpActivity(ci)
-	frame := s.ar.frame(ci)
+	s.reduceSet(w, q)
 
 	tried := make(map[qbf.Var]bool)
 	for {
-		if a, done := s.clauseVerdict(w); done {
+		if a, done := s.verdict(w, q); done {
 			a.frame = frame
 			return a
 		}
-		pivot, ok := s.pickClausePivot(w, tried)
+		pivot, ok := s.pickPivot(w, tried, q)
 		if !ok {
 			return analysis{lits: w.slice(), frame: frame} // non-asserting resolvent
 		}
@@ -170,22 +171,24 @@ func (s *Solver) analyzeConflict(ci int) analysis {
 			}
 			w.add(m)
 		}
-		s.universalReduceSet(w)
+		s.reduceSet(w, q)
 	}
 }
 
-// pickClausePivot selects the deepest-on-trail existential literal of w
-// whose variable was unit-propagated by a clause and whose reason does not
-// introduce a (long-distance) tautology into w.
-func (s *Solver) pickClausePivot(w *workSet, tried map[qbf.Var]bool) (qbf.Lit, bool) {
+// pickPivot selects the deepest-on-trail q literal of w whose variable was
+// unit-propagated by a constraint of its own kind (a clause for q = ∃, a
+// cube for q = ∀) and whose reason does not introduce a (long-distance)
+// tautology into w.
+func (s *Solver) pickPivot(w *workSet, tried map[qbf.Var]bool, q qbf.Quant) (qbf.Lit, bool) {
+	cube := q == qbf.Forall
 	best := qbf.NoLit
 	bestPos := -1
 	for _, v := range w.vars {
 		l := w.get(v)
-		if tried[v] || s.quant[v] != qbf.Exists || s.value[v] == undef {
+		if tried[v] || s.quant[v] != q || s.value[v] == undef {
 			continue
 		}
-		if s.reason[v] != reasonConstraint || s.ar.isCube(s.reasonC[v]) {
+		if s.reason[v] != reasonConstraint || s.ar.isCube(s.reasonC[v]) != cube {
 			continue
 		}
 		if s.trailPos[v] > bestPos {
@@ -212,40 +215,46 @@ func (s *Solver) pickClausePivot(w *workSet, tried map[qbf.Var]bool) (qbf.Lit, b
 	return best, bestPos >= 0
 }
 
-// clauseVerdict checks the working clause for the two stopping conditions:
-// a contradictory resolvent (the formula is false) or an asserting clause.
-func (s *Solver) clauseVerdict(w *workSet) (analysis, bool) {
+// verdict checks the working constraint of primary quantifier q for its
+// stopping conditions: a terminal one — a clause with no existential
+// literal is contradictory (Lemma 4, the formula is false), a cube with no
+// universal literal reduces to the empty cube (the formula is true) — or
+// an asserting one, which after the backjump is unit on its deepest q
+// literal. The per-kind values are those of visitWatches: a clause is
+// dormant under a true literal and hit by false ones, a cube the reverse.
+func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
+	dormant, trig := vTrue, vFalse
+	if q == qbf.Forall {
+		dormant, trig = vFalse, vTrue
+	}
 	lambda := -1
-	var lstar qbf.Lit
+	var star qbf.Lit
 	unique := true
-	anyE := false
+	anyQ := false
 	for _, v := range w.vars {
 		l := w.get(v)
-		if s.quant[v] != qbf.Exists {
+		if s.quant[v] != q {
 			continue
 		}
-		anyE = true
+		anyQ = true
 		if s.value[v] == undef {
-			// An unassigned existential can only enter through a reason
-			// clause whose universal side conditions held; treat the
-			// resolvent as non-asserting.
+			// An unassigned q literal can only enter through a reason
+			// whose side conditions held; treat the resolvent as
+			// non-asserting.
 			return analysis{}, false
 		}
 		dl := s.dlevel[v]
 		switch {
 		case dl > lambda:
-			lambda, lstar, unique = dl, l, true
+			lambda, star, unique = dl, l, true
 		case dl == lambda:
 			unique = false
 		}
 	}
-	if !anyE {
-		// Contradictory resolvent: the QBF is false (Lemma 4).
-		return analysis{terminal: true}, true
-	}
-	if lambda == 0 {
-		// Every existential literal is falsified at the root level; the
-		// residual clause at level 0 is contradictory.
+	if !anyQ || lambda == 0 {
+		// No q literal is left — the reduced clause is contradictory
+		// (Lemma 4), the reduced cube empty — or every q literal was hit
+		// at the root level, which no backjump undoes.
 		return analysis{terminal: true}, true
 	}
 	if !unique {
@@ -255,27 +264,27 @@ func (s *Solver) clauseVerdict(w *workSet) (analysis, bool) {
 	blevel := 0
 	for _, v := range w.vars {
 		l := w.get(v)
-		if l == lstar {
+		if l == star {
 			continue
 		}
 		switch s.litValue(l) {
-		case vTrue:
-			return analysis{}, false // satisfied resolvent can't assert
-		case vFalse:
-			// A universal literal with v ⊀ |lstar| may lose its
-			// assignment at the backjump without blocking the unit rule,
-			// so it does not bound the backjump level; every existential
-			// literal must stay falsified, and so must the universal
-			// literals in whose scope lstar lies.
-			if s.quant[v] == qbf.Exists || s.before(v, lstar.Var()) {
+		case dormant:
+			return analysis{}, false // a dormant resolvent can't assert
+		case trig:
+			// A literal of the other quantifier with v ⊀ |star| may lose
+			// its assignment at the backjump without blocking the unit
+			// rule, so it does not bound the backjump level; every q
+			// literal must stay hit, and so must the other-quantifier
+			// literals in whose scope star lies.
+			if s.quant[v] == q || s.before(v, star.Var()) {
 				if s.dlevel[v] > blevel {
 					blevel = s.dlevel[v]
 				}
 			}
 		default:
-			// Unassigned universal literal: it must not block the unit
-			// propagation of lstar after the backjump.
-			if s.before(v, lstar.Var()) {
+			// Unassigned literal of the other quantifier: it must not
+			// block the unit rule on star after the backjump.
+			if s.before(v, star.Var()) {
 				return analysis{}, false
 			}
 		}
@@ -283,47 +292,7 @@ func (s *Solver) clauseVerdict(w *workSet) (analysis, bool) {
 	if blevel >= lambda {
 		return analysis{}, false
 	}
-	return analysis{asserting: true, lits: w.slice(), force: lstar, blevel: blevel}, true
-}
-
-// analyzeSolution derives a learned cube. ci is the id of a cube whose
-// literals are all true, or -1 when the matrix became empty, in which case
-// the initial good is a set of true literals covering every original
-// clause (Section III).
-func (s *Solver) analyzeSolution(ci int) analysis {
-	w := s.newWorkSet()
-	if ci >= 0 {
-		for k, n := 0, s.ar.size(ci); k < n; k++ {
-			w.add(s.ar.lit(ci, k))
-		}
-		s.ar.bumpActivity(ci)
-	} else {
-		s.coverCube(w)
-	}
-	s.existentialReduceSet(w)
-
-	tried := make(map[qbf.Var]bool)
-	for {
-		if a, done := s.cubeVerdict(w); done {
-			return a
-		}
-		pivot, ok := s.pickCubePivot(w, tried)
-		if !ok {
-			return analysis{lits: w.slice()}
-		}
-		v := pivot.Var()
-		rc := s.reasonC[v]
-		s.ar.bumpActivity(rc)
-		w.del(v)
-		for k, n := 0, s.ar.size(rc); k < n; k++ {
-			m := s.ar.lit(rc, k)
-			if m.Var() == v {
-				continue
-			}
-			w.add(m)
-		}
-		s.existentialReduceSet(w)
-	}
+	return analysis{asserting: true, lits: w.slice(), force: forced(star, dormant), blevel: blevel}, true
 }
 
 // coverCube fills w with true literals covering every original clause: the
@@ -394,167 +363,41 @@ func (s *Solver) coverClause(w *workSet, ci int) {
 	w.add(best)
 }
 
-// pickCubePivot selects the deepest-on-trail universal literal of w whose
-// variable was propagated by a cube.
-func (s *Solver) pickCubePivot(w *workSet, tried map[qbf.Var]bool) (qbf.Lit, bool) {
-	best := qbf.NoLit
-	bestPos := -1
-	for _, v := range w.vars {
-		l := w.get(v)
-		if tried[v] || s.quant[v] != qbf.Forall || s.value[v] == undef {
-			continue
-		}
-		if s.reason[v] != reasonConstraint || !s.ar.isCube(s.reasonC[v]) {
-			continue
-		}
-		if s.trailPos[v] > bestPos {
-			ok := true
-			rc := s.reasonC[v]
-			for k, n := 0, s.ar.size(rc); k < n; k++ {
-				m := s.ar.lit(rc, k)
-				if m.Var() == v {
-					continue
-				}
-				if prev := w.get(m.Var()); prev != 0 && prev != m {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				best, bestPos = l, s.trailPos[v]
-			} else {
-				tried[v] = true
-			}
-		}
+// handle processes an event of primary quantifier q: a conflicting clause
+// (q = ∃) or a solution (q = ∀; a fired cube, or the empty matrix when
+// ci < 0). With learning of that kind on, it learns and backjumps if
+// analysis derives an asserting constraint; otherwise it flips the deepest
+// open decision of quantifier q. It returns false when the formula is
+// decided: false after a conflict, true after a solution.
+func (s *Solver) handle(ci int, q qbf.Quant) bool {
+	learn, cube := !s.opt.DisableClauseLearning, false
+	if q == qbf.Forall {
+		learn, cube = !s.opt.DisableCubeLearning, true
 	}
-	return best, bestPos >= 0
-}
-
-// cubeVerdict checks the working cube for its stopping conditions: a cube
-// with no universal literal (the formula is true) or an asserting cube.
-func (s *Solver) cubeVerdict(w *workSet) (analysis, bool) {
-	lambda := -1
-	var ustar qbf.Lit
-	unique := true
-	anyU := false
-	for _, v := range w.vars {
-		l := w.get(v)
-		if s.quant[v] != qbf.Forall {
-			continue
-		}
-		anyU = true
-		if s.value[v] == undef {
-			return analysis{}, false
-		}
-		dl := s.dlevel[v]
-		switch {
-		case dl > lambda:
-			lambda, ustar, unique = dl, l, true
-		case dl == lambda:
-			unique = false
-		}
-	}
-	if !anyU {
-		// Existential reduction of a universal-free cube empties it: the
-		// QBF is true.
-		return analysis{terminal: true}, true
-	}
-	if lambda == 0 {
-		return analysis{terminal: true}, true
-	}
-	if !unique {
-		return analysis{}, false
-	}
-	blevel := 0
-	for _, v := range w.vars {
-		l := w.get(v)
-		if l == ustar {
-			continue
-		}
-		switch s.litValue(l) {
-		case vFalse:
-			return analysis{}, false
-		case vTrue:
-			// Dual of the clause case: an existential literal with
-			// v ⊀ |ustar| may become unassigned at the backjump without
-			// blocking the dual unit rule, so it does not bound the
-			// backjump level.
-			if s.quant[v] == qbf.Forall || s.before(v, ustar.Var()) {
-				if s.dlevel[v] > blevel {
-					blevel = s.dlevel[v]
-				}
-			}
-		default:
-			// Unassigned existential literal (universals were handled
-			// above): it must not block the dual unit rule on ustar after
-			// the backjump.
-			if s.before(v, ustar.Var()) {
-				return analysis{}, false
-			}
-		}
-	}
-	if blevel >= lambda {
-		return analysis{}, false
-	}
-	return analysis{asserting: true, lits: w.slice(), force: ustar.Neg(), blevel: blevel}, true
-}
-
-// handleConflict processes a conflicting clause: learn and backjump if an
-// asserting clause was derived, otherwise flip the deepest open existential
-// decision. It returns false when the formula is proven false.
-func (s *Solver) handleConflict(ci int) bool {
-	if s.ar.deleted(ci) {
+	if ci >= 0 && s.ar.deleted(ci) {
 		// An emptied constraint would seed an empty working set, which
 		// analysis reads as a terminal verdict — a silent wrong answer.
 		// solve() guarantees nothing (in particular not the memory
-		// governor) runs between the conflict event and this call.
-		invariant.Violated("core: conflict analysis over deleted constraint %d", ci)
+		// governor) runs between the event and this call.
+		invariant.Violated("core: analysis over deleted constraint %d", ci)
 	}
-	if !s.opt.DisableClauseLearning {
-		a := s.analyzeConflict(ci)
+	if learn {
+		a := s.analyze(ci, q)
 		if a.terminal {
 			return false
 		}
 		if a.asserting {
 			s.stats.Backjumps++
 			s.backtrack(a.blevel)
-			id := s.addLearned(a.lits, false, a.frame)
+			id := s.addLearned(a.lits, cube, a.frame)
 			s.assign(a.force, reasonConstraint, id)
 			s.bumpConstraint(a.lits)
-			s.reduceDB(false)
+			s.reduceDB(cube)
 			s.maybeRestart()
 			return true
 		}
 	}
-	return s.chronoFlip(qbf.Exists)
-}
-
-// handleSolution processes a solution event (cube fired, or matrix empty
-// when ci < 0). It returns false when the formula is proven true.
-func (s *Solver) handleSolution(ci int) bool {
-	if ci >= 0 && s.ar.deleted(ci) {
-		// Dual of the handleConflict guard: a deleted fired cube reads as
-		// a terminal True. ci < 0 is the matrix-empty solution, which
-		// carries no constraint.
-		invariant.Violated("core: solution analysis over deleted constraint %d", ci)
-	}
-	if !s.opt.DisableCubeLearning {
-		a := s.analyzeSolution(ci)
-		if a.terminal {
-			return false
-		}
-		if a.asserting {
-			s.stats.Backjumps++
-			s.backtrack(a.blevel)
-			id := s.addLearned(a.lits, true, 0)
-			s.assign(a.force, reasonConstraint, id)
-			s.bumpConstraint(a.lits)
-			s.reduceDB(true)
-			s.maybeRestart()
-			return true
-		}
-	}
-	return s.chronoFlip(qbf.Forall)
+	return s.chronoFlip(q)
 }
 
 // chronoFlip backtracks chronologically: it pops levels until the deepest

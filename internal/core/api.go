@@ -35,8 +35,3 @@ func MustSolve(ctx context.Context, q *qbf.QBF, opt Options) Result {
 // Options.CheckInvariants is compiled into this binary, i.e. whether the
 // build used -tags qbfdebug.
 func InvariantsCompiled() bool { return invariantsCompiled }
-
-// TelemetryCompiled reports whether the telemetry emit hooks are compiled
-// into this binary; a -tags qbfnotrace build strips them (and ignores
-// Options.Telemetry) to serve as the overhead-measurement baseline.
-func TelemetryCompiled() bool { return telemetryCompiled }

@@ -99,15 +99,6 @@ func (a *arena) swapLits(ci, j, k int) {
 	a.d[b+j], a.d[b+k] = a.d[b+k], a.d[b+j]
 }
 
-// appendLits appends the constraint's literals to dst (for rendering and
-// export paths that need a materialized slice).
-func (a *arena) appendLits(dst []qbf.Lit, ci int) []qbf.Lit {
-	for k, n := 0, a.size(ci); k < n; k++ {
-		dst = append(dst, a.lit(ci, k))
-	}
-	return dst
-}
-
 func (a *arena) activity(ci int) float64 {
 	return float64(math.Float32frombits(a.d[ci+offAct]))
 }

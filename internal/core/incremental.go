@@ -231,7 +231,7 @@ func (s *Solver) AddClause(c qbf.Clause) error {
 		s.lastResult = Unknown
 	}
 	depth := len(s.frames)
-	s.universalReduceSet(w)
+	s.reduceSet(w, qbf.Exists)
 	lits := w.slice()
 	hasE := false
 	for _, l := range lits {

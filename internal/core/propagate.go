@@ -86,83 +86,49 @@ func (s *Solver) clauseUnsatisfied(ci int) {
 	}
 }
 
-// scanState derives a constraint's state from the actual variable values
-// alone: it enqueues the forced literal when the constraint is unit and
-// reports conflicts and solutions. Because it never trusts cached counters
-// or watch positions, callers may use it on constraints whose incremental
-// state is stale — the runtime-added clause wakes of the incremental
-// session path; a stale watch can at worst defer an event to the visit
-// that repairs it, never fabricate one.
+// scanState derives a clause's state from the actual variable values
+// alone: it enqueues the forced literal when the clause is unit and
+// reports a conflict when it is contradictory. Because it never trusts
+// cached counters or watch positions, callers may use it on clauses whose
+// incremental state is stale — the runtime-added and rewoken clauses of
+// the incremental session path (wakeRefs holds no cubes); a stale watch can
+// at worst defer an event to the visit that repairs it, never fabricate
+// one.
 //
 //qbf:hotpath
 func (s *Solver) scanState(ci int) (event, int) {
 	n := s.ar.size(ci)
-	if !s.ar.isCube(ci) {
-		var e qbf.Lit
-		undefE := 0
-		for k := 0; k < n; k++ {
-			m := s.ar.lit(ci, k)
-			switch s.litValue(m) {
-			case vTrue:
-				return evNone, -1
-			case undef:
-				if s.quant[m.Var()] == qbf.Exists {
-					undefE++
-					if undefE > 1 {
-						return evNone, -1
-					}
-					e = m
-				}
-			}
-		}
-		if undefE == 0 {
-			// Residual clause has no existential literal: contradictory
-			// under Lemma 4.
-			return evConflict, ci
-		}
-		// Candidate unit (Lemma 5): e is forced unless some unassigned
-		// universal m of the clause has m ≺ e.
-		for k := 0; k < n; k++ {
-			m := s.ar.lit(ci, k)
-			if m != e && s.value[m.Var()] == undef && s.before(m.Var(), e.Var()) {
-				return evNone, -1
-			}
-		}
-		s.assign(e, reasonConstraint, ci)
-		return evNone, -1
-	}
-	// Cube (good): the dual rules. The residual cube under the current
-	// assignment consists of the unassigned literals; existential
-	// reduction (the dual of Lemma 3) removes every residual existential
-	// e with no residual universal u such that e ≺ u, so unassigned
-	// existentials never block by themselves.
-	var u qbf.Lit
+	var e qbf.Lit
+	undefE := 0
 	for k := 0; k < n; k++ {
 		m := s.ar.lit(ci, k)
 		switch s.litValue(m) {
-		case vFalse:
+		case vTrue:
 			return evNone, -1
 		case undef:
-			if s.quant[m.Var()] == qbf.Forall {
-				u = m
+			if s.quant[m.Var()] == qbf.Exists {
+				undefE++
+				if undefE > 1 {
+					return evNone, -1
+				}
+				e = m
 			}
 		}
 	}
-	if u == 0 {
-		// No residual universal literal: existential reduction empties the
-		// residual cube, the good fires, the branch is a solution.
-		return evSolution, ci
+	if undefE == 0 {
+		// Residual clause has no existential literal: contradictory
+		// under Lemma 4.
+		return evConflict, ci
 	}
-	// Candidate dual unit: the universal player must falsify u — unless a
-	// residual existential in the scope of u keeps the cube from reducing
-	// to the unit [u].
+	// Candidate unit (Lemma 5): e is forced unless some unassigned
+	// universal m of the clause has m ≺ e.
 	for k := 0; k < n; k++ {
 		m := s.ar.lit(ci, k)
-		if m != u && s.value[m.Var()] == undef && s.before(m.Var(), u.Var()) {
+		if m != e && s.value[m.Var()] == undef && s.before(m.Var(), e.Var()) {
 			return evNone, -1
 		}
 	}
-	s.assign(u.Neg(), reasonConstraint, ci)
+	s.assign(e, reasonConstraint, ci)
 	return evNone, -1
 }
 
@@ -230,18 +196,16 @@ func (s *Solver) addLearned(lits []qbf.Lit, isCube bool, frame int) int {
 	if s.learnedBytes > s.stats.PeakLearnedBytes {
 		s.stats.PeakLearnedBytes = s.learnedBytes
 	}
+	kind := int64(0)
 	if isCube {
+		kind = 1
 		s.learnedCubes++
 		s.stats.LearnedCubes++
 	} else {
 		s.learnedClauses++
 		s.stats.LearnedClauses++
 	}
-	if isCube {
-		s.emitLitsEv(telemetry.KindLearn, lits, 1)
-	} else {
-		s.emitLitsEv(telemetry.KindLearn, lits, 0)
-	}
+	s.emitLitsEv(telemetry.KindLearn, lits, kind)
 	if s.learnHook != nil {
 		s.learnHook(lits, isCube)
 	}

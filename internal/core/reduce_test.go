@@ -172,11 +172,7 @@ func TestReduceSetMatchesPairwise(t *testing.T) {
 					}
 					before := slices.Clone(w.vars)
 					want := pairwiseReduce(s, &ref, keep)
-					if keep == qbf.Exists {
-						s.universalReduceSet(w)
-					} else {
-						s.existentialReduceSet(w)
-					}
+					s.reduceSet(w, keep)
 					if !slices.Equal(w.vars, ref.vars) {
 						t.Fatalf("%s instance %d round %d (keep %v): set %v reduced to %v, pairwise rule gives %v (drops %v)\nprefix %v",
 							sh.name, inst, round, keep, before, w.vars, ref.vars, want, p)

@@ -525,13 +525,13 @@ func (s *Solver) solve() Verdict {
 		case evConflict:
 			s.stats.Conflicts++
 			s.emitConstraintEv(telemetry.KindConflict, ci)
-			if !s.handleConflict(ci) {
+			if !s.handle(ci, qbf.Exists) {
 				return False
 			}
 		case evSolution:
 			s.stats.Solutions++
 			s.emitConstraintEv(telemetry.KindSolution, ci)
-			if !s.handleSolution(ci) {
+			if !s.handle(ci, qbf.Forall) {
 				return True
 			}
 		}

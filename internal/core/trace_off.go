@@ -12,8 +12,6 @@ import (
 // the nil-check cost of the default build against. Options.Telemetry is
 // ignored under this tag.
 
-const telemetryCompiled = false
-
 func (s *Solver) emitEv(telemetry.Kind, int, int64, int64) {}
 
 func (s *Solver) emitConstraintEv(telemetry.Kind, int) {}

@@ -9,14 +9,11 @@ import (
 
 // This file is the default (hooks-compiled-in) half of the telemetry
 // split; trace_off.go is the qbfnotrace mirror with empty bodies. The
-// pattern follows share_release.go/share_qbfdebug.go: the search loop
-// calls these helpers unconditionally, and the build tag decides whether
+// pattern follows deepcheck_release.go/deepcheck_qbfdebug.go: the search
+// loop calls these helpers unconditionally, and the build tag decides whether
 // they cost a nil-check (here) or nothing at all (qbfnotrace). The
 // qbfnotrace build exists to give scripts/check.sh a true no-hook
 // baseline for the <2% disabled-overhead gate.
-
-// telemetryCompiled reports whether the emit helpers are compiled in.
-const telemetryCompiled = true
 
 // emitEv records one event at the current decision level. depth is the
 // prefix-depth attribution; a and b are the per-kind payload.

@@ -18,13 +18,17 @@ import (
 //     unit rule of Lemma 5) or — in satisfied or event states — a falsified
 //     literal parked behind a blocker. Watch repair only ever moves a watch
 //     onto an unfalsified existential; see the repair comment in
-//     visitClauseWatches for why true universals must park the clause
-//     instead of absorbing the watch. Universal reduction stays implicit:
+//     visitWatches for why true universals must park the clause instead
+//     of absorbing the watch. Universal reduction stays implicit:
 //     the conflict test (Lemma 4) fires on "no unfalsified existential and
 //     no true literal" regardless of unassigned universals, and the unit
 //     test re-derives the ≺ side conditions by scanning the clause.
 //   - A cube is the quantifier dual: two ≺-deepest unassigned universals
 //     plus an existential guard, triggered by literals becoming true.
+//
+// One routine serves both kinds: visitWatches takes the primary quantifier
+// (∃ for clauses, ∀ for cubes), initWatches reads it off the constraint,
+// and both derive the per-kind values from it at entry.
 //
 // Watched literals sit at positions 0 and 1 of the constraint's literal
 // array in the arena (position 0 only for unit-size constraints), so moving
@@ -74,10 +78,10 @@ func (s *Solver) propagateWatched() (event, int) {
 		if s.satWalk(l) {
 			return evSolution, -1
 		}
-		if ev, ci := s.visitClauseWatches(l); ev != evNone {
+		if ev, ci := s.visitWatches(l, qbf.Exists); ev != evNone {
 			return ev, ci
 		}
-		if ev, ci := s.visitCubeWatches(l); ev != evNone {
+		if ev, ci := s.visitWatches(l, qbf.Forall); ev != evNone {
 			return ev, ci
 		}
 	}
@@ -151,18 +155,33 @@ func (s *Solver) satSearch(tag int) int {
 	return sort.Search(len(s.satStack), func(i int) bool { return s.ar.sat(int(s.satStack[i])) >= tag })
 }
 
-// visitClauseWatches processes the clauses watching l.Neg(), which l just
-// falsified: repair the watch, detect satisfaction, or report the clause
-// unit (Lemma 5) or contradictory (Lemma 4).
+// visitWatches processes the constraints of primary quantifier q whose
+// watch the assignment of l just hit: for q = ∃ the clauses watching l̄,
+// which l falsified; for q = ∀ the cubes watching l, which l satisfied. Each one gets its watch repaired or is found dormant, unit
+// (Lemma 5, or its dual for cubes) or firing: a contradictory clause
+// (Lemma 4), or a cube whose residual has no universal literal.
+//
+// The per-kind values are fixed at entry. A clause is dormant while one of
+// its literals is true and is visited when a watch is falsified, so it is
+// keyed by its watches' negations (litIdx(m.Neg()) == litIdx(m)^1); it
+// fires a conflict, and its unit rule makes the last open existential
+// true. A cube is dormant while one of its literals is false and is
+// visited when a watch is satisfied, so it is keyed by the watches
+// themselves; it fires a solution, and its unit rule makes the last open
+// universal false.
 //
 //qbf:hotpath
-func (s *Solver) visitClauseWatches(l qbf.Lit) (event, int) {
+func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
+	lists, hit, dormant, trig, par, fire := s.watchCl, l.Neg(), vTrue, vFalse, 1, evConflict
+	if q == qbf.Forall {
+		lists, hit, dormant, trig, par, fire = s.watchCu, l, vFalse, vTrue, 0, evSolution
+	}
 	idx := litIdx(l)
-	ws := s.watchCl[idx]
+	ws := lists[idx]
 	j := 0
 	for i := 0; i < len(ws); i++ {
 		w := ws[i]
-		if s.litValue(qbf.Lit(w.blocker)) == vTrue { //lint:allow L2 round-trip decode of a stored watcher blocker
+		if s.litValue(qbf.Lit(w.blocker)) == dormant { //lint:allow L2 round-trip decode of a stored watcher blocker
 			ws[j] = w
 			j++
 			continue
@@ -173,91 +192,81 @@ func (s *Solver) visitClauseWatches(l qbf.Lit) (event, int) {
 		}
 		n := s.ar.size(ci)
 		if n == 1 {
-			// Single-literal clause (an existential, by universal
-			// reduction) falsified: contradictory.
-			ws[j] = w
-			j++
-			for i++; i < len(ws); i++ {
-				ws[j] = ws[i]
-				j++
-			}
-			s.watchCl[idx] = ws[:j]
-			return evConflict, ci
+			// A single-literal constraint (a q literal, by reduction) was
+			// hit: it fires. This entry and the rest keep their places.
+			j += copy(ws[j:], ws[i:])
+			lists[idx] = ws[:j]
+			return fire, ci
 		}
-		fw := l.Neg()
-		if s.ar.lit(ci, 0) == fw {
+		if s.ar.lit(ci, 0) == hit {
 			s.ar.swapLits(ci, 0, 1)
 		}
 		other := s.ar.lit(ci, 0)
-		if s.litValue(other) == vTrue {
+		if s.litValue(other) == dormant {
 			ws[j] = watcher{w.c, int32(other)}
 			j++
 			continue
 		}
-		// Repair: move the falsified watch to an unfalsified existential at
-		// positions ≥ 2. Only existentials may take over a watch slot: a
-		// true universal satisfies the clause but may not absorb the watch —
-		// backtracking past it would revive falsified existentials that no
-		// watch covers, and their next falsification would be a silent
-		// conflict. A true universal instead parks the clause: the entry
-		// stays on the falsified watch with the satisfier as blocker, which
-		// is sound because the satisfier precedes the just-falsified watch
-		// on the trail, and backtracking pops trail suffixes — whenever the
-		// satisfier is unassigned, the parked watch is unassigned too.
+		// Repair: move the hit watch to a q literal at positions ≥ 2 that
+		// the trigger value has not reached. Only q literals may take over
+		// a watch slot. A literal of the other quantifier that makes the
+		// constraint dormant (a true universal in a clause, a false
+		// existential in a cube) may not absorb the watch: backtracking
+		// past it would revive hit q literals that no watch covers, and
+		// their next hit would be a silent event. It parks the constraint
+		// instead: the entry stays on the hit watch with the dormant
+		// literal as blocker. That is sound because the blocker precedes
+		// the hit watch on the trail, and backtracking pops trail suffixes
+		// — whenever the blocker is unassigned, the parked watch is too.
 		moved := false
-		var satBy qbf.Lit
+		var park qbf.Lit
 		for k := 2; k < n; k++ {
 			m := s.ar.lit(ci, k)
 			mv := s.litValue(m)
-			if mv != vFalse && s.quant[m.Var()] == qbf.Exists {
+			if mv != trig && s.quant[m.Var()] == q {
 				s.ar.swapLits(ci, 1, k)
-				mi := litIdx(m.Neg())
-				s.watchCl[mi] = append(s.watchCl[mi], watcher{w.c, int32(other)})
+				mi := litIdx(m) ^ par
+				lists[mi] = append(lists[mi], watcher{w.c, int32(other)})
 				moved = true
 				break
 			}
-			if mv == vTrue {
-				satBy = m
+			if mv == dormant {
+				park = m
 				break
 			}
 		}
 		if moved {
 			continue
 		}
-		if satBy != 0 {
-			ws[j] = watcher{w.c, int32(satBy)}
+		if park != 0 {
+			ws[j] = watcher{w.c, int32(park)}
 			j++
 			continue
 		}
-		// No replacement and no satisfier: positions ≥ 2 hold only false
-		// literals and unassigned universals.
-		if s.litValue(other) == vFalse || s.quant[other.Var()] == qbf.Forall {
-			// No unfalsified existential and no true literal: the residual
-			// clause is contradictory (Lemma 4) no matter how its unassigned
-			// universals are set. Keep the watches — conflict handling
-			// backtracks below the current level, unassigning fw.
-			ws[j] = w
-			j++
-			for i++; i < len(ws); i++ {
-				ws[j] = ws[i]
-				j++
-			}
-			s.watchCl[idx] = ws[:j]
-			return evConflict, ci
+		// No replacement and nothing to park on: positions ≥ 2 hold only
+		// hit literals and unassigned literals of the other quantifier.
+		if s.litValue(other) == trig || s.quant[other.Var()] != q {
+			// No open q literal and no dormant literal: reduction empties
+			// the residual constraint, whatever its open literals of the
+			// other quantifier are set to. The clause is contradictory
+			// (Lemma 4), or the cube fires. Keep the watches — event
+			// handling backtracks below the current level, undoing l.
+			j += copy(ws[j:], ws[i:])
+			lists[idx] = ws[:j]
+			return fire, ci
 		}
-		// other is the single unfalsified existential. Generalized unit
-		// rule: forced, unless an unassigned universal m ≺ other blocks it —
-		// then m becomes the universal guard: as a literal of the clause it
-		// either satisfies the clause or re-triggers this check when
-		// falsified, and m ≺ other means it cannot stay unassigned behind
-		// other.
+		// other is the single open q literal. Unit rule: it is forced,
+		// unless an unassigned literal m ≺ other blocks it — then m
+		// becomes the guard: as a literal of the constraint it either
+		// makes it dormant or re-triggers this check when hit, and
+		// m ≺ other means it cannot stay unassigned behind other.
 		blocked := false
 		for k := 2; k < n; k++ {
 			m := s.ar.lit(ci, k)
 			if s.value[m.Var()] == undef && s.before(m.Var(), other.Var()) {
 				s.ar.swapLits(ci, 1, k)
-				mi := litIdx(m.Neg())
-				s.watchCl[mi] = append(s.watchCl[mi], watcher{w.c, int32(other)})
+				mi := litIdx(m) ^ par
+				lists[mi] = append(lists[mi], watcher{w.c, int32(other)})
 				blocked = true
 				break
 			}
@@ -265,130 +274,22 @@ func (s *Solver) visitClauseWatches(l qbf.Lit) (event, int) {
 		if blocked {
 			continue
 		}
-		s.assign(other, reasonConstraint, ci)
+		s.assign(forced(other, dormant), reasonConstraint, ci)
 		ws[j] = watcher{w.c, int32(other)}
 		j++
 	}
-	s.watchCl[idx] = ws[:j]
+	lists[idx] = ws[:j]
 	return evNone, -1
 }
 
-// visitCubeWatches processes the cubes watching l, which l just satisfied:
-// the quantifier dual of visitClauseWatches. A cube with a false literal is
-// dead; one whose residual has no universal literal fires as a solution;
-// one reduced to a single unassigned universal forces its negation (the
-// dual unit rule), unless an unassigned existential ≺ it blocks.
-//
-//qbf:hotpath
-func (s *Solver) visitCubeWatches(l qbf.Lit) (event, int) {
-	idx := litIdx(l)
-	ws := s.watchCu[idx]
-	j := 0
-	for i := 0; i < len(ws); i++ {
-		w := ws[i]
-		if s.litValue(qbf.Lit(w.blocker)) == vFalse { //lint:allow L2 round-trip decode of a stored watcher blocker
-			ws[j] = w
-			j++
-			continue
-		}
-		ci := int(w.c)
-		if s.ar.deleted(ci) {
-			continue
-		}
-		n := s.ar.size(ci)
-		if n == 1 {
-			// Single-literal cube (a universal, by existential reduction)
-			// satisfied: the good fires.
-			ws[j] = w
-			j++
-			for i++; i < len(ws); i++ {
-				ws[j] = ws[i]
-				j++
-			}
-			s.watchCu[idx] = ws[:j]
-			return evSolution, ci
-		}
-		tw := l
-		if s.ar.lit(ci, 0) == tw {
-			s.ar.swapLits(ci, 0, 1)
-		}
-		other := s.ar.lit(ci, 0)
-		if s.litValue(other) == vFalse {
-			ws[j] = watcher{w.c, int32(other)}
-			j++
-			continue
-		}
-		// Repair: move the satisfied watch to an unsatisfied universal at
-		// positions ≥ 2 — the quantifier dual of the clause rule: only
-		// universals may take over a cube watch slot. A false existential
-		// kills the cube but may not absorb the watch (backtracking past it
-		// would revive satisfied universals no watch covers); it parks the
-		// cube instead, keeping the entry on the satisfied watch with the
-		// death witness as blocker — sound by the same trail-suffix
-		// argument as the clause side.
-		moved := false
-		var deadBy qbf.Lit
-		for k := 2; k < n; k++ {
-			m := s.ar.lit(ci, k)
-			mv := s.litValue(m)
-			if mv != vTrue && s.quant[m.Var()] == qbf.Forall {
-				s.ar.swapLits(ci, 1, k)
-				mi := litIdx(m)
-				s.watchCu[mi] = append(s.watchCu[mi], watcher{w.c, int32(other)})
-				moved = true
-				break
-			}
-			if mv == vFalse {
-				deadBy = m
-				break
-			}
-		}
-		if moved {
-			continue
-		}
-		if deadBy != 0 {
-			ws[j] = watcher{w.c, int32(deadBy)}
-			j++
-			continue
-		}
-		// No replacement and no death witness: positions ≥ 2 hold only true
-		// literals and unassigned existentials.
-		if s.litValue(other) == vTrue || s.quant[other.Var()] == qbf.Exists {
-			// No false literal and no unassigned universal: existential
-			// reduction empties the residual cube — the good fires.
-			ws[j] = w
-			j++
-			for i++; i < len(ws); i++ {
-				ws[j] = ws[i]
-				j++
-			}
-			s.watchCu[idx] = ws[:j]
-			return evSolution, ci
-		}
-		// other is the single unassigned universal: the universal player
-		// must falsify it, unless an unassigned existential m ≺ other keeps
-		// the cube from reducing to the unit [other] — then m becomes the
-		// existential guard.
-		blocked := false
-		for k := 2; k < n; k++ {
-			m := s.ar.lit(ci, k)
-			if s.value[m.Var()] == undef && s.before(m.Var(), other.Var()) {
-				s.ar.swapLits(ci, 1, k)
-				mi := litIdx(m)
-				s.watchCu[mi] = append(s.watchCu[mi], watcher{w.c, int32(other)})
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			continue
-		}
-		s.assign(other.Neg(), reasonConstraint, ci)
-		ws[j] = watcher{w.c, int32(other)}
-		j++
+// forced is the unit rule's assignment to the last open literal m of a
+// constraint: the literal that gives m the value dormant, so m itself for
+// a clause (dormant = vTrue) and m̄ for a cube.
+func forced(m qbf.Lit, dormant int8) qbf.Lit {
+	if dormant == vTrue {
+		return m
 	}
-	s.watchCu[idx] = ws[:j]
-	return evNone, -1
+	return m.Neg()
 }
 
 // initWatches installs the watches of a freshly added constraint under the
@@ -398,39 +299,34 @@ func (s *Solver) visitCubeWatches(l qbf.Lit) (event, int) {
 // satisfy the clause or re-trigger on falsification), then false literals
 // by descending trail position, so that in unit/conflicting states any
 // backtrack that could revive the clause unassigns a watch first. Cubes
-// use the quantifier dual. The caller handles degenerate states itself: an
-// asserting learned constraint assigns its forced literal immediately, and
-// a runtime-added clause is woken by a full scan at the next fixpoint.
+// use the quantifier dual, with the per-kind values of visitWatches. The
+// caller handles degenerate states itself: an asserting learned constraint
+// assigns its forced literal immediately, and a runtime-added clause is
+// woken by a full scan at the next fixpoint.
 func (s *Solver) initWatches(ci int) {
+	q, lists, dormant, par := qbf.Exists, s.watchCl, vTrue, 1
+	if s.ar.isCube(ci) {
+		q, lists, dormant, par = qbf.Forall, s.watchCu, vFalse, 0
+	}
 	n := s.ar.size(ci)
-	isCube := s.ar.isCube(ci)
 	if n == 1 {
 		l := s.ar.lit(ci, 0)
-		if isCube {
-			s.watchCu[litIdx(l)] = append(s.watchCu[litIdx(l)], watcher{int32(ci), int32(l)})
-		} else {
-			mi := litIdx(l.Neg())
-			s.watchCl[mi] = append(s.watchCl[mi], watcher{int32(ci), int32(l)})
-		}
+		mi := litIdx(l) ^ par
+		lists[mi] = append(lists[mi], watcher{int32(ci), int32(l)})
 		return
 	}
 	rank := func(k int) (int, int) {
 		m := s.ar.lit(ci, k)
 		mv := s.litValue(m)
-		prim := (s.quant[m.Var()] == qbf.Exists) != isCube
-		dormant := mv == vTrue
-		if isCube {
-			dormant = mv == vFalse
-		}
 		switch {
-		case mv == undef && prim:
+		case mv == undef && s.quant[m.Var()] == q:
 			return 3, s.plevel[m.Var()] // deeper is better
-		case dormant:
+		case mv == dormant:
 			return 2, -s.trailPos[m.Var()] // earlier assigned is better
 		case mv == undef:
 			return 1, s.plevel[m.Var()]
 		default:
-			return 0, s.trailPos[m.Var()] // later falsified is better
+			return 0, s.trailPos[m.Var()] // later hit is better
 		}
 	}
 	w0, w1 := 0, 1
@@ -455,12 +351,7 @@ func (s *Solver) initWatches(ci int) {
 	}
 	s.ar.swapLits(ci, 1, w1)
 	l0, l1 := s.ar.lit(ci, 0), s.ar.lit(ci, 1)
-	if isCube {
-		s.watchCu[litIdx(l0)] = append(s.watchCu[litIdx(l0)], watcher{int32(ci), int32(l1)})
-		s.watchCu[litIdx(l1)] = append(s.watchCu[litIdx(l1)], watcher{int32(ci), int32(l0)})
-	} else {
-		i0, i1 := litIdx(l0.Neg()), litIdx(l1.Neg())
-		s.watchCl[i0] = append(s.watchCl[i0], watcher{int32(ci), int32(l1)})
-		s.watchCl[i1] = append(s.watchCl[i1], watcher{int32(ci), int32(l0)})
-	}
+	i0, i1 := litIdx(l0)^par, litIdx(l1)^par
+	lists[i0] = append(lists[i0], watcher{int32(ci), int32(l1)})
+	lists[i1] = append(lists[i1], watcher{int32(ci), int32(l0)})
 }

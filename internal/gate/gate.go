@@ -188,7 +188,9 @@ func (g *Gate) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, result.StatusBadRequest, server.SolveResponse{Error: err.Error()})
 		return
 	}
-	mode, strategy, err := normalizeOptions(req)
+	// The backends' own mode/strategy contract: a request they would 400
+	// is rejected here, before it reaches the ring or the cache key space.
+	eng, err := server.ParseEngine(req.Mode, req.Strategy)
 	if err != nil {
 		writeJSON(w, result.StatusBadRequest, server.SolveResponse{Error: err.Error()})
 		return
@@ -198,7 +200,7 @@ func (g *Gate) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, result.StatusBadRequest, server.SolveResponse{Error: "parsing formula: " + err.Error()})
 		return
 	}
-	key := Key(q, mode, strategy)
+	key := Key(q, eng.Mode, eng.Strategy)
 
 	// A witness is named in the request's own variables; a cached verdict
 	// from a rename variant cannot answer it, so witness requests bypass
@@ -225,36 +227,6 @@ func (g *Gate) handleSolve(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(g.cfg.RetryAfter/time.Second)+1, 10))
 	}
 	writeJSON(w, status, resp)
-}
-
-// normalizeOptions validates the engine-selecting options the canonical
-// key incorporates, mirroring the backend's own contract so a request the
-// backend would 400 is rejected at the edge (and never pollutes the ring
-// or cache key space).
-func normalizeOptions(req *server.SolveRequest) (mode, strategy string, err error) {
-	mode = req.Mode
-	if mode == "" {
-		mode = "po"
-	}
-	switch mode {
-	case "po":
-		if req.Strategy != "" {
-			return "", "", gateError(`strategy "` + req.Strategy + `" is only meaningful with mode "to"`)
-		}
-	case "to":
-		switch req.Strategy {
-		case "", "eu-au", "eu-ad", "ed-au", "ed-ad":
-			strategy = req.Strategy
-			if strategy == "" {
-				strategy = "eu-au"
-			}
-		default:
-			return "", "", gateError(`unknown strategy "` + req.Strategy + `"`)
-		}
-	default:
-		return "", "", gateError(`unknown mode "` + req.Mode + `"`)
-	}
-	return mode, strategy, nil
 }
 
 // writeUnavailable is the degradation response: 503 with a Retry-After

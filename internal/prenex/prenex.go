@@ -58,6 +58,24 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy maps a strategy's command-line name — eu-au, eu-ad, ed-au
+// or ed-ad, for ∃↑∀↑, ∃↑∀↓, ∃↓∀↑ and ∃↓∀↓ — to the Strategy. It is the one
+// parser of these names: the CLIs, the solve service and the gate all
+// call it.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "eu-au":
+		return EUpAUp, nil
+	case "eu-ad":
+		return EUpADown, nil
+	case "ed-au":
+		return EDownAUp, nil
+	case "ed-ad":
+		return EDownADown, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
+}
+
 // up reports whether the strategy shifts quantifier q upward.
 func (s Strategy) up(q qbf.Quant) bool {
 	if q == qbf.Exists {
@@ -170,15 +188,6 @@ func upSlots(blocks []*qbf.Block, start qbf.Quant) ([]int, int) {
 		}
 	}
 	return slot, max
-}
-
-// ApplyAll returns the four prenex forms in the order of Strategies.
-func ApplyAll(q *qbf.QBF) map[Strategy]*qbf.QBF {
-	out := make(map[Strategy]*qbf.QBF, len(Strategies))
-	for _, s := range Strategies {
-		out[s] = Apply(q, s)
-	}
-	return out
 }
 
 // POTOShare computes the footnote-9 metric of a (tree) QBF: the fraction of

@@ -2,6 +2,7 @@ package prenex
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/qbf"
@@ -241,6 +242,22 @@ func TestMiniscopeThenSolveAgrees(t *testing.T) {
 			if qbf.Eval(r) != qbf.Eval(q) {
 				t.Fatalf("iteration %d: miniscope+%v changed the value", i, strat)
 			}
+		}
+	}
+}
+
+func TestParseStrategy(t *testing.T) {
+	want := map[string]Strategy{"eu-au": EUpAUp, "eu-ad": EUpADown, "ed-au": EDownAUp, "ed-ad": EDownADown}
+	for name, s := range want {
+		got, err := ParseStrategy(name)
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, s)
+		}
+	}
+	for _, name := range []string{"", "EU-AU", "eu-au ", "Eup-Aup"} {
+		_, err := ParseStrategy(name)
+		if err == nil || err.Error() != "unknown strategy "+strconv.Quote(name) {
+			t.Errorf("ParseStrategy(%q) error = %v", name, err)
 		}
 	}
 }

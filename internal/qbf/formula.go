@@ -33,9 +33,6 @@ func (q *QBF) MaxVar() int {
 	return max
 }
 
-// NumClauses returns the number of clauses in the matrix.
-func (q *QBF) NumClauses() int { return len(q.Matrix) }
-
 // Clone returns a deep copy of the QBF.
 func (q *QBF) Clone() *QBF {
 	m := make([]Clause, len(q.Matrix))
@@ -236,11 +233,6 @@ func (p *Prefix) without(v Var) *Prefix {
 // literal l for which no existential literal l' of the clause satisfies
 // |l| ≺ |l'|. Free variables count as existential and precede everything.
 // The input is not modified; the reduced clause is returned.
-func (q *QBF) UniversalReduce(c Clause) Clause {
-	return UniversalReduce(q.Prefix, c)
-}
-
-// UniversalReduce is the prefix-level form of Lemma 3 (see QBF.UniversalReduce).
 func UniversalReduce(p *Prefix, c Clause) Clause {
 	p.Finalize()
 	out := make(Clause, 0, len(c))

@@ -135,13 +135,6 @@ func (c Clause) String() string {
 // Cube is a conjunction of literals, used for goods (learned terms).
 type Cube []Lit
 
-// Clone returns an independent copy of c.
-func (c Cube) Clone() Cube {
-	out := make(Cube, len(c))
-	copy(out, c)
-	return out
-}
-
 // String renders the cube as a set of DIMACS literals in brackets.
 func (c Cube) String() string {
 	parts := make([]string, len(c))

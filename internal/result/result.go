@@ -137,7 +137,3 @@ type Result struct {
 
 // Decided reports whether the run produced a definite True/False verdict.
 func (r Result) Decided() bool { return r.Verdict != Unknown }
-
-// Stop returns the stop reason recorded in the statistics (StopNone on
-// decided runs).
-func (r Result) Stop() StopReason { return r.Stats.StopReason }

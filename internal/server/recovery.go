@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/result"
 	"repro/internal/telemetry"
@@ -133,34 +132,17 @@ func (st *sessionStore) recover(records []journal.Record) {
 	st.cfg.Tracer.Emit(telemetry.KindJournal, 0, 0, 2, int64(len(sessions)))
 }
 
-// rebuildSession reconstructs a session's pinned solver from its journaled
-// create request, mirroring handleCreate. A request that fails to
-// re-validate (impossible short of a schema change across a restart)
-// drops the session rather than aborting recovery.
+// rebuildSession reconstructs session id from its journaled create
+// request with newSession, the constructor of live creates. A request
+// that fails to re-validate (impossible short of a schema change across a
+// restart) drops the session rather than aborting recovery.
 func (st *sessionStore) rebuildSession(id string, raw json.RawMessage) *session {
-	req, err := ParseSessionRequest(raw)
+	s, err := st.newSession(raw)
 	if err != nil {
 		return nil
 	}
-	spec, err := sessionSpec(req, st.cfg.Caps)
-	if err != nil {
-		return nil
-	}
-	spec.opt.Telemetry = st.cfg.Tracer
-	spec.opt.Incremental = true
-	maxNodes := spec.opt.NodeLimit
-	spec.opt.NodeLimit = 0
-	solver, err := core.NewSolver(spec.q, spec.opt)
-	if err != nil {
-		return nil
-	}
-	if st.cfg.testSolverHook != nil {
-		st.cfg.testSolverHook(spec, solver)
-	}
-	return &session{
-		id: id, mode: spec.key, solver: solver, maxNodes: maxNodes,
-		createReq: raw, frames: [][]SessionOp{nil},
-	}
+	s.id = id
+	return s
 }
 
 // applyRecoveredOps re-applies one journaled call's ops, stopping at the

@@ -178,11 +178,10 @@ type Caps struct {
 // solveSpec is a validated, budget-clamped request ready to enter the
 // work queue.
 type solveSpec struct {
-	q        *qbf.QBF
-	mode     string // "po" or "to"
-	strategy prenex.Strategy
-	opt      core.Options
-	witness  bool
+	q       *qbf.QBF
+	mode    string // "po" or "to"
+	opt     core.Options
+	witness bool
 	// key groups requests for the circuit breaker and quarantine ledger:
 	// one breaker per solver configuration, so a poison config is isolated
 	// without blocking the others.
@@ -237,37 +236,53 @@ func buildSpec(req *SolveRequest, caps Caps) (*solveSpec, error) {
 		NodeLimit: clampInt64(req.MaxNodes, caps.MaxNodes),
 		MemLimit:  clampInt64(req.MaxMemMB<<20, caps.MaxMem),
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "po"
+	eng, err := ParseEngine(req.Mode, req.Strategy)
+	if err != nil {
+		return nil, err
 	}
-	switch mode {
-	case "po":
-		if req.Strategy != "" {
-			return nil, fmt.Errorf("strategy %q is only meaningful with mode \"to\"", req.Strategy)
-		}
-		spec.opt.Mode = core.ModePartialOrder
-		spec.key = "po"
-	case "to":
-		s, err := parseStrategy(req.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		spec.strategy = s
+	spec.mode, spec.key = eng.Mode, eng.Mode
+	if eng.Mode == "to" {
 		spec.opt.Mode = core.ModeTotalOrder
 		if !q.Prefix.IsPrenex() {
-			spec.q = prenex.Apply(q, s)
+			spec.q = prenex.Apply(q, eng.strategy)
 		}
-		name := req.Strategy
-		if name == "" {
-			name = "eu-au"
-		}
-		spec.key = "to:" + name
-	default:
-		return nil, fmt.Errorf("unknown mode %q", req.Mode)
+		spec.key = "to:" + eng.Strategy
 	}
-	spec.mode = mode
 	return spec, nil
+}
+
+// Engine is a request's validated engine selection: Mode "po" with an
+// empty Strategy, or Mode "to" with the name of its prenexing strategy.
+type Engine struct {
+	Mode     string
+	Strategy string
+	strategy prenex.Strategy // the strategy Strategy names
+}
+
+// ParseEngine validates the engine-selecting options of a request — mode
+// "po" (the default) or "to", and for "to" a prenexing strategy name
+// (eu-au by default) — and returns them in canonical form. It is the one
+// mode and strategy contract of the service: buildSpec applies it, and
+// qbfgate keys its cache and ring by its result, so the gate rejects at
+// the edge exactly the requests a backend would reject.
+func ParseEngine(mode, strategy string) (Engine, error) {
+	switch mode {
+	case "", "po":
+		if strategy != "" {
+			return Engine{}, fmt.Errorf("strategy %q is only meaningful with mode \"to\"", strategy)
+		}
+		return Engine{Mode: "po"}, nil
+	case "to":
+		if strategy == "" {
+			strategy = "eu-au"
+		}
+		s, err := prenex.ParseStrategy(strategy)
+		if err != nil {
+			return Engine{}, err
+		}
+		return Engine{Mode: "to", Strategy: strategy, strategy: s}, nil
+	}
+	return Engine{}, fmt.Errorf("unknown mode %q", mode)
 }
 
 // clampDuration applies a cap: 0 means "the cap itself" (or unlimited
@@ -290,20 +305,6 @@ func clampInt64(v, cap int64) int64 {
 		return cap
 	}
 	return v
-}
-
-func parseStrategy(s string) (prenex.Strategy, error) {
-	switch s {
-	case "", "eu-au":
-		return prenex.EUpAUp, nil
-	case "eu-ad":
-		return prenex.EUpADown, nil
-	case "ed-au":
-		return prenex.EDownAUp, nil
-	case "ed-ad":
-		return prenex.EDownADown, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q", s)
 }
 
 // respond assembles the SolveResponse for a finished solve.

@@ -82,6 +82,37 @@ func TestBuildSpecValidation(t *testing.T) {
 	}
 }
 
+// TestParseEngine pins the mode/strategy contract qbfd and qbfgate share:
+// the canonical names the gate keys its cache by, and the exact error
+// texts both answer a bad request with.
+func TestParseEngine(t *testing.T) {
+	cases := []struct {
+		mode, strategy string
+		want           Engine
+		err            string
+	}{
+		{"", "", Engine{Mode: "po"}, ""},
+		{"po", "", Engine{Mode: "po"}, ""},
+		{"to", "", Engine{Mode: "to", Strategy: "eu-au"}, ""},
+		{"to", "ed-ad", Engine{Mode: "to", Strategy: "ed-ad"}, ""},
+		{"", "eu-au", Engine{}, `strategy "eu-au" is only meaningful with mode "to"`},
+		{"to", "zz", Engine{}, `unknown strategy "zz"`},
+		{"magic", "", Engine{}, `unknown mode "magic"`},
+	}
+	for _, c := range cases {
+		got, err := ParseEngine(c.mode, c.strategy)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("ParseEngine(%q, %q) error = %v, want %q", c.mode, c.strategy, err, c.err)
+			}
+			continue
+		}
+		if err != nil || got.Mode != c.want.Mode || got.Strategy != c.want.Strategy {
+			t.Errorf("ParseEngine(%q, %q) = %+v, %v; want %+v", c.mode, c.strategy, got, err, c.want)
+		}
+	}
+}
+
 func TestBuildSpecModesAndKeys(t *testing.T) {
 	cases := []struct {
 		req  SolveRequest

@@ -499,14 +499,12 @@ func (s *Server) serveJob(j *job) {
 	// The solve context merges the request context (client disconnect)
 	// with the server's force-cancel root (drain deadline). Budgets ride
 	// in Options; the solver polls both at every propagation fixpoint.
-	ctx, cancel := context.WithCancel(j.ctx)
-	stop := context.AfterFunc(s.solveCtx, cancel)
+	ctx, cancel := s.mergeCtx(j.ctx)
 	s.active.Add(1)
 	start := time.Now()
 	res := s.solve(ctx, j.spec)
 	elapsed := time.Since(start)
 	s.active.Add(-1)
-	stop()
 	cancel()
 
 	ok := res.status != result.StatusInternalError

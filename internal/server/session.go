@@ -105,36 +105,10 @@ func (st *sessionStore) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := ParseSessionRequest(body)
+	sess, err := st.newSession(body)
 	if err != nil {
 		writeJSON(w, result.StatusBadRequest, SolveResponse{Error: err.Error()})
 		return
-	}
-	spec, err := sessionSpec(req, st.cfg.Caps)
-	if err != nil {
-		writeJSON(w, result.StatusBadRequest, SolveResponse{Error: err.Error()})
-		return
-	}
-	spec.opt.Telemetry = st.cfg.Tracer
-	spec.opt.Incremental = true
-
-	// The per-solve node budget is re-armed before every call (NodeLimit
-	// is cumulative over a solver's lifetime); stash it and disarm.
-	maxNodes := spec.opt.NodeLimit
-	spec.opt.NodeLimit = 0
-
-	solver, err := core.NewSolver(spec.q, spec.opt)
-	if err != nil {
-		writeJSON(w, result.StatusBadRequest, SolveResponse{Error: err.Error()})
-		return
-	}
-	if st.cfg.testSolverHook != nil {
-		st.cfg.testSolverHook(spec, solver)
-	}
-
-	sess := &session{
-		mode: spec.key, solver: solver, maxNodes: maxNodes,
-		createReq: body, frames: [][]SessionOp{nil},
 	}
 	if !st.admit(sess) {
 		st.srv.writeShed(w, ShedSessionsFull, result.StatusTooManyRequests)
@@ -144,17 +118,42 @@ func (st *sessionStore) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, result.StatusOK, SolveResponse{Session: sess.id})
 }
 
-// sessionSpec validates a session-create request into a solve spec (the
-// shared path for live creates and boot recovery).
-func sessionSpec(req *SessionRequest, caps Caps) (*solveSpec, error) {
-	return buildSpec(&SolveRequest{
+// newSession builds a session, without an id, from a create-request body:
+// the one constructor of live creates (handleCreate) and journal replay
+// (rebuildSession), so a replayed session cannot drift from a live one.
+func (st *sessionStore) newSession(body []byte) (*session, error) {
+	req, err := ParseSessionRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := buildSpec(&SolveRequest{
 		Formula:   req.Formula,
 		Mode:      req.Mode,
 		Strategy:  req.Strategy,
 		MaxTimeMS: req.MaxTimeMS,
 		MaxNodes:  req.MaxNodes,
 		MaxMemMB:  req.MaxMemMB,
-	}, caps)
+	}, st.cfg.Caps)
+	if err != nil {
+		return nil, err
+	}
+	spec.opt.Telemetry = st.cfg.Tracer
+	spec.opt.Incremental = true
+	// The per-solve node budget is re-armed before every call (NodeLimit
+	// is cumulative over a solver's lifetime); stash it and disarm.
+	maxNodes := spec.opt.NodeLimit
+	spec.opt.NodeLimit = 0
+	solver, err := core.NewSolver(spec.q, spec.opt)
+	if err != nil {
+		return nil, err
+	}
+	if st.cfg.testSolverHook != nil {
+		st.cfg.testSolverHook(spec, solver)
+	}
+	return &session{
+		mode: spec.key, solver: solver, maxNodes: maxNodes,
+		createReq: body, frames: [][]SessionOp{nil},
+	}, nil
 }
 
 // admit registers a fresh session, evicting the LRU idle session when the

@@ -53,7 +53,13 @@
 #                          full sweep's counter3 φ4 base takes minutes
 #                          under the checker and the race detector; step
 #                          6 runs the full sweep and its decision
-#                          ceiling — see DESIGN.md §7 and §12)
+#                          ceiling — see DESIGN.md §7 and §12. Last,
+#                          TestSearchCountsGolden: every ScaleSmoke suite
+#                          instance solved PO and TO under a node limit,
+#                          its verdict and search counts compared with
+#                          internal/bench/testdata/search_counts.golden,
+#                          so a change that alters the search fails here
+#                          by name)
 #   9. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
 #                          service request decoder, the clause-arena
 #                          op-stream model, and the session journal reader
@@ -131,13 +137,14 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants)"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants) + search counts golden"
 go test -tags qbfdebug -race -count=1 \
     -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise' \
     ./internal/core/
 go test -tags qbfdebug -race -count=1 -short \
     -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
     ./internal/dia/
+go test -count=1 -run TestSearchCountsGolden ./internal/bench/
 
 echo "==> go test -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/"
 go test -run '^$' -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/
