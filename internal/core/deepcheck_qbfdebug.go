@@ -152,8 +152,8 @@ func (s *Solver) checkBlockBookkeeping() {
 	}
 	for bi := range s.blocks {
 		open := 0
-		for _, g := range s.blocks[bi].guards {
-			if s.blocks[g].unassigned > 0 {
+		for g := s.blocks[bi].parent; g >= 0; g = s.blocks[g].parent {
+			if s.blocks[g].level < s.blocks[bi].level && s.blocks[g].unassigned > 0 {
 				open++
 			}
 		}

@@ -280,14 +280,15 @@ func (s *Solver) Assume(lits ...qbf.Lit) error {
 }
 
 // rootLit reports whether l is a bound existential literal whose block has
-// no guards, i.e. a literal Assume can take as a root assumption. Anything
-// else, invalid literals included, goes to AddClause.
+// no guards (level 1: no ancestor has a smaller level), i.e. a literal
+// Assume can take as a root assumption. Anything else, invalid literals
+// included, goes to AddClause.
 func (s *Solver) rootLit(l qbf.Lit) bool {
 	v := l.Var()
 	if l == qbf.NoLit || v.Int() < qbf.MinVar.Int() || v.Int() > s.nVars || s.blockOf[v] < 0 {
 		return false
 	}
-	return s.quant[v] == qbf.Exists && len(s.blocks[s.blockOf[v]].guards) == 0
+	return s.quant[v] == qbf.Exists && s.blocks[s.blockOf[v]].level == 1
 }
 
 // assumeRoot records l as a root assumption at the current depth. No clause

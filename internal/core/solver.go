@@ -33,15 +33,21 @@ const (
 // arena.go): one flat []uint32 region, integer refs, the two watched
 // literals at positions 0 and 1 of every constraint.
 
-// blockInfo caches per-block structure derived from the prefix.
+// blockInfo caches per-block structure derived from the prefix. A block's
+// guards are its ancestors separated from it by at least one alternation,
+// i.e. whose variables all ≺ ours. Along a root path the prefix level
+// grows exactly at alternations, so the guards are the ancestors of
+// strictly smaller level, and the blocks a block guards are the blocks of
+// its subtree, the range [index+1, end) of Solver.blocks, with a greater
+// level. Neither set is stored: that would take quadratic space on a deep
+// alternating chain.
 type blockInfo struct {
 	quant      qbf.Quant
 	level      int
 	vars       []qbf.Var
 	parent     int    // enclosing block in the quantifier tree; -1 for a root
 	children   []int  // child blocks in the quantifier tree
-	guards     []int  // blocks whose variables all ≺ ours (alternation-separated ancestors)
-	dependents []int  // inverse of guards
+	end        int    // one past the last block of this block's subtree
 	unassigned int    // unassigned variables in this block
 	guardOpen  int    // number of guards with unassigned > 0
 	stamp      uint64 // last reduction that marked this block (reduceSet)
@@ -190,21 +196,28 @@ func litIdx(l qbf.Lit) int {
 	return 2*v + 1
 }
 
-// NewSolver prepares a solver for q. The input is deep-copied: free
-// variables are bound existentially, the matrix is normalized (tautologies
-// dropped) and universally reduced (Lemma 3). In ModeTotalOrder the input
-// prefix must be prenex, as for any classic prenex solver.
+// NewSolver prepares a solver for q. The input is not modified: free
+// variables are bound existentially in a clone of the prefix, and the
+// matrix is copied, normalized (tautologies dropped) and universally
+// reduced (Lemma 3). In ModeTotalOrder the input prefix must be prenex, as
+// for any classic prenex solver.
+//
+// Construction takes time linear in the size of q, apart from sorting
+// each clause, and the number of allocations does not grow with the
+// clause count (DESIGN.md §3.2). The errors come in a fixed order:
+// an invalid literal, then a clause that is not scope-consistent, then (in
+// ModeTotalOrder) a non-prenex prefix; a contradictory clause is not an
+// error but a trivial False.
 func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
-	work := q.Clone()
 	// Normalize first (duplicate literals and tautologies are benign and
 	// common in DIMACS files), then validate what normalization cannot
 	// repair, then bind the remaining free variables.
-	work.NormalizeMatrix()
+	work := &qbf.QBF{Prefix: q.Prefix, Matrix: normalizedCopy(q.Matrix)}
 	if err := work.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid input: %w", err)
 	}
-	work.BindFreeVars()
-	work.Prefix.Finalize()
+	n := work.MaxVar()
+	work.Prefix = q.Prefix.CloneBinding(work.FreeVars(), n)
 	if _, err := work.ScopeConsistent(); err != nil {
 		return nil, fmt.Errorf("core: input not scope-consistent: %w", err)
 	}
@@ -215,7 +228,6 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		opt.MaxLearned = 4000
 	}
 
-	n := work.MaxVar()
 	s := &Solver{
 		opt:         opt,
 		nVars:       n,
@@ -224,7 +236,6 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		sf:          make([]int, n+1),
 		plevel:      make([]int, n+1),
 		blockOf:     make([]int, n+1),
-		occ:         make([][]int32, 2*(n+1)),
 		activeOcc:   make([]int, 2*(n+1)),
 		value:       make([]int8, n+1),
 		dlevel:      make([]int, n+1),
@@ -234,11 +245,10 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		counter:     make([]int, 2*(n+1)),
 		lastCounter: make([]int, 2*(n+1)),
 		score:       make([]float64, 2*(n+1)),
+		watchCu:     make([][]watcher, 2*(n+1)),
 		trivial:     Unknown,
 		falseFrom:   -1,
 	}
-	s.watchCl = make([][]watcher, 2*(n+1))
-	s.watchCu = make([][]watcher, 2*(n+1))
 
 	// Variables within 1..n that are bound by no block and occur in no
 	// clause ("ghosts", e.g. quantifiers dropped by miniscoping) take no
@@ -255,7 +265,7 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		bi := blockInfo{
 			quant:      b.Quant,
 			level:      b.Level(),
-			vars:       append([]qbf.Var(nil), b.Vars...),
+			vars:       b.Vars, // p is the solver's own clone
 			parent:     -1,
 			unassigned: len(b.Vars),
 		}
@@ -265,17 +275,9 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		for _, c := range b.Children {
 			bi.children = append(bi.children, c.ID())
 		}
-		// Guards: ancestor blocks separated by at least one alternation,
-		// i.e. whose variables all ≺ ours. Along a root path the prefix
-		// level grows exactly at alternations, so "separated by an
-		// alternation" is "has a strictly smaller level".
-		for a := b.Parent(); a != nil; a = a.Parent() {
-			if a.Level() < b.Level() {
-				bi.guards = append(bi.guards, a.ID())
-			}
-		}
-		s.blocks[i] = bi
 		bsd, bsf := b.Interval()
+		bi.end = bsf // the subtree's ids run from ID() = bsd-1 to bsf-1
+		s.blocks[i] = bi
 		for _, v := range b.Vars {
 			s.quant[v] = b.Quant
 			s.sd[v] = bsd
@@ -284,12 +286,27 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 			s.blockOf[v] = i
 		}
 	}
+	// Open guards, in one preorder pass: a block's guards are the blocks
+	// on the root path down to its nearest guard, the nearest ancestor of
+	// smaller level, so they hold nonEmpty[nearest] non-empty blocks, where
+	// nonEmpty counts the non-empty blocks on a root path.
+	nonEmpty := make([]int, len(s.blocks))
+	nearest := make([]int, len(s.blocks))
 	for i := range s.blocks {
-		for _, g := range s.blocks[i].guards {
-			s.blocks[g].dependents = append(s.blocks[g].dependents, i)
-			if s.blocks[g].unassigned > 0 {
-				s.blocks[i].guardOpen++
+		b := &s.blocks[i]
+		nearest[i] = -1
+		if pa := b.parent; pa >= 0 {
+			nonEmpty[i] = nonEmpty[pa]
+			nearest[i] = nearest[pa]
+			if s.blocks[pa].level < b.level {
+				nearest[i] = pa
 			}
+		}
+		if b.unassigned > 0 {
+			nonEmpty[i]++
+		}
+		if g := nearest[i]; g >= 0 {
+			b.guardOpen = nonEmpty[g]
 		}
 	}
 
@@ -315,32 +332,30 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 	// the solver's O(1) ≺ test to the structural Prefix.Before.
 	s.attachInvariantPrefix(p)
 
-	// Install the (universally reduced) original clauses.
+	// Universal reduction in place, then installation. A contradictory
+	// clause (Lemma 4, or the empty clause of Lemma 3) ends a one-shot
+	// solver's construction with the clauses before it installed: the
+	// formula is trivially false. Incremental solvers record it as a
+	// base-frame falsity and finish construction instead: Pop can never
+	// reach below the base, so the verdict is permanent, but the solver
+	// must stay fully initialized for the session ops.
 	s.levelStart = append(s.levelStart, 0)
+	orig := work.Matrix[:0]
 	for _, c := range work.Matrix {
-		rc := qbf.UniversalReduce(p, c)
-		hasE := false
-		for _, l := range rc {
-			if s.quant[l.Var()] == qbf.Exists {
-				hasE = true
-				break
-			}
-		}
-		if len(rc) == 0 || !hasE {
-			// Contradictory clause (Lemma 4, or the empty clause of
-			// Lemma 3). Incremental solvers record it as a base-frame
-			// falsity and finish construction: Pop can never reach below
-			// the base, so the verdict is permanent, but the solver must
-			// stay fully initialized for the session ops. One-shot solvers
-			// keep the historical short-circuit.
+		rc := s.reduceOriginal(c)
+		if len(rc) == 0 {
 			if opt.Incremental {
 				s.falseFrom = 0
 				continue
 			}
 			s.trivial = False
-			return s, nil
+			break
 		}
-		s.addOriginalClause(rc)
+		orig = append(orig, rc)
+	}
+	s.installOriginals(orig)
+	if s.trivial == False {
+		return s, nil
 	}
 	s.origEnd = s.ar.end()
 	s.numUnsatOriginal = s.nOriginalClauses
@@ -359,6 +374,7 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 
 	// All bound variables start as pure-literal candidates; fixPures
 	// verifies. Ghost variables never enter the queue.
+	s.pureCand = make([]qbf.Var, 0, n)
 	for v := qbf.MinVar; v.Int() <= n; v++ {
 		if s.blockOf[v] >= 0 {
 			s.pureCand = append(s.pureCand, v)
@@ -366,6 +382,108 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 	}
 	s.deepCheck()
 	return s, nil
+}
+
+// normalizedCopy copies a matrix into one new slab, normalizing each clause
+// in place there (Clause.Normalize) and dropping tautologies. Each clause
+// of the copy is a 3-index slice of the slab.
+func normalizedCopy(m []qbf.Clause) []qbf.Clause {
+	total := 0
+	for _, c := range m {
+		total += len(c)
+	}
+	slab := make([]qbf.Lit, 0, total)
+	out := make([]qbf.Clause, 0, len(m))
+	for _, c := range m {
+		start := len(slab)
+		slab = append(slab, c...)
+		nc, taut := qbf.Clause(slab[start:]).Normalize()
+		if taut {
+			slab = slab[:start]
+			continue
+		}
+		slab = slab[:start+len(nc)]
+		out = append(out, slab[start:len(slab):len(slab)])
+	}
+	return out
+}
+
+// reduceOriginal applies universal reduction (Lemma 3) to a
+// scope-consistent clause in place, by the level rule: the clause's
+// blocks lie on one root path, and along a path the prefix level grows
+// exactly at alternations, so z ≺ z′ iff level(z) < level(z′). A universal
+// literal therefore stays iff its level is below the clause's deepest
+// existential level, and a clause without existentials reduces to empty.
+func (s *Solver) reduceOriginal(c qbf.Clause) qbf.Clause {
+	deepE := 0
+	for _, l := range c {
+		if v := l.Var(); s.quant[v] == qbf.Exists {
+			deepE = max(deepE, s.plevel[v])
+		}
+	}
+	out := c[:0]
+	for _, l := range c {
+		if v := l.Var(); s.quant[v] == qbf.Exists || s.plevel[v] < deepE {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// installOriginals installs the construction-time original clauses, in
+// order. The arena, the occurrence lists and the clause watch lists are
+// sized from counts first, one slab per structure: each list is a 3-index
+// slice of its slab, so a later append (a runtime clause, a moved watch)
+// reallocates only that list.
+func (s *Solver) installOriginals(cs []qbf.Clause) {
+	words := 0
+	for _, c := range cs {
+		words += hdrWords + len(c)
+		for _, l := range c {
+			s.counter[litIdx(l)]++
+		}
+	}
+	copy(s.activeOcc, s.counter)
+	s.occ = carve[int32](s.counter)
+	s.ar.d = make([]uint32, 0, words)
+	watched := make([]int, len(s.counter))
+	for _, c := range cs {
+		ci := s.ar.alloc(c, false, false)
+		s.placeWatches(ci)
+		watched[litIdx(s.ar.lit(ci, 0))^1]++
+		if len(c) > 1 {
+			watched[litIdx(s.ar.lit(ci, 1))^1]++
+		}
+	}
+	s.watchCl = carve[watcher](watched)
+	for ci := 0; ci < s.ar.end(); ci = s.ar.next(ci) {
+		for k := 0; k < s.ar.size(ci); k++ {
+			li := litIdx(s.ar.lit(ci, k))
+			s.occ[li] = append(s.occ[li], int32(ci))
+		}
+		s.attachWatches(ci)
+	}
+	s.nOriginalClauses = len(cs)
+}
+
+// carve returns one empty list per count, all cut from one slab: list k
+// has capacity counts[k] (nil for 0), so filling it never writes into
+// another list and an append past its count reallocates only list k.
+func carve[T any](counts []int) [][]T {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]T, total)
+	lists := make([][]T, len(counts))
+	off := 0
+	for k, c := range counts {
+		if c > 0 {
+			lists[k] = slab[off : off : off+c]
+			off += c
+		}
+	}
+	return lists
 }
 
 // SetLearnHook installs a callback invoked with every learned constraint
@@ -383,18 +501,6 @@ func (s *Solver) SetNodeLimit(n int64) { s.opt.NodeLimit = n }
 
 // Stats returns search statistics accumulated so far.
 func (s *Solver) Stats() Stats { return s.stats }
-
-func (s *Solver) addOriginalClause(c qbf.Clause) int {
-	id := s.ar.alloc(c, false, false)
-	s.nOriginalClauses++
-	for _, l := range c {
-		s.occ[litIdx(l)] = append(s.occ[litIdx(l)], int32(id))
-		s.activeOcc[litIdx(l)]++
-		s.counter[litIdx(l)]++
-	}
-	s.initWatches(id)
-	return id
-}
 
 // Solve runs the search under ctx: cancellation and the context
 // deadline are polled at every propagation fixpoint (time checks gated to
@@ -603,8 +709,18 @@ func (s *Solver) assign(l qbf.Lit, why reasonKind, reasonCon int) {
 	b := s.blockOf[v]
 	s.blocks[b].unassigned--
 	if s.blocks[b].unassigned == 0 {
-		for _, dep := range s.blocks[b].dependents {
-			s.blocks[dep].guardOpen--
+		s.shiftGuardOpen(b, -1)
+	}
+}
+
+// shiftGuardOpen adds delta to the open-guard count of every block that b
+// guards: the blocks of b's subtree, a contiguous range of s.blocks, whose
+// level is greater than b's.
+func (s *Solver) shiftGuardOpen(b, delta int) {
+	lv := s.blocks[b].level
+	for d := b + 1; d < s.blocks[b].end; d++ {
+		if s.blocks[d].level > lv {
+			s.blocks[d].guardOpen += delta
 		}
 	}
 }
@@ -659,9 +775,7 @@ func (s *Solver) unwindTrail(end int) {
 		s.reasonC[v] = -1
 		b := s.blockOf[v]
 		if s.blocks[b].unassigned == 0 {
-			for _, dep := range s.blocks[b].dependents {
-				s.blocks[dep].guardOpen++
-			}
+			s.shiftGuardOpen(b, +1)
 		}
 		s.blocks[b].unassigned++
 	}

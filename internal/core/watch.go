@@ -304,15 +304,19 @@ func forced(m qbf.Lit, dormant int8) qbf.Lit {
 // assigns its forced literal immediately, and a runtime-added clause is
 // woken by a full scan at the next fixpoint.
 func (s *Solver) initWatches(ci int) {
-	q, lists, dormant, par := qbf.Exists, s.watchCl, vTrue, 1
+	s.placeWatches(ci)
+	s.attachWatches(ci)
+}
+
+// placeWatches moves the constraint's two best watch candidates, by the
+// slot priority of initWatches, to positions 0 and 1.
+func (s *Solver) placeWatches(ci int) {
+	q, dormant := qbf.Exists, vTrue
 	if s.ar.isCube(ci) {
-		q, lists, dormant, par = qbf.Forall, s.watchCu, vFalse, 0
+		q, dormant = qbf.Forall, vFalse
 	}
 	n := s.ar.size(ci)
 	if n == 1 {
-		l := s.ar.lit(ci, 0)
-		mi := litIdx(l) ^ par
-		lists[mi] = append(lists[mi], watcher{int32(ci), int32(l)})
 		return
 	}
 	rank := func(k int) (int, int) {
@@ -350,8 +354,23 @@ func (s *Solver) initWatches(ci int) {
 		w1 = w0 // position 0's literal moved to w0 in the swap above
 	}
 	s.ar.swapLits(ci, 1, w1)
-	l0, l1 := s.ar.lit(ci, 0), s.ar.lit(ci, 1)
-	i0, i1 := litIdx(l0)^par, litIdx(l1)^par
+}
+
+// attachWatches appends the watchers of the literals at positions 0 and 1
+// (0 only, for a unit) to the watcher lists of the constraint's kind.
+func (s *Solver) attachWatches(ci int) {
+	lists, par := s.watchCl, 1
+	if s.ar.isCube(ci) {
+		lists, par = s.watchCu, 0
+	}
+	l0 := s.ar.lit(ci, 0)
+	i0 := litIdx(l0) ^ par
+	if s.ar.size(ci) == 1 {
+		lists[i0] = append(lists[i0], watcher{int32(ci), int32(l0)})
+		return
+	}
+	l1 := s.ar.lit(ci, 1)
+	i1 := litIdx(l1) ^ par
 	lists[i0] = append(lists[i0], watcher{int32(ci), int32(l1)})
 	lists[i1] = append(lists[i1], watcher{int32(ci), int32(l0)})
 }

@@ -451,6 +451,7 @@ func TestBadRequestsRejectedAtTheEdge(t *testing.T) {
 		{Formula: "p cnf 1 1\ne 1 0\n1 0\n", Mode: "po", Strategy: "eu-au"},
 		{Formula: "p cnf 1 1\ne 1 0\n1 0\n", Mode: "to", Strategy: "bogus"},
 		{Formula: "not a formula"},
+		{Formula: "p cnf 1 1\ne 1000000000000000 0\n1000000000000000 0\n"}, // id beyond the input's bound
 	}
 	for i, req := range cases {
 		status, resp, _ := postSolve(t, url, req)

@@ -2,6 +2,7 @@ package qbf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -60,25 +61,81 @@ func (q *QBF) NormalizeMatrix() int {
 }
 
 // Validate checks the structural invariants of Section II: every literal's
-// variable is positive, no clause mentions a variable twice, and every
-// matrix variable is within the prefix range. Free matrix variables are
-// legal (treated as outermost existentials). It returns the first violation
-// found, or nil.
+// variable is positive, and no clause mentions a variable twice. Matrix
+// variables beyond the prefix range are free, which is legal (treated as
+// outermost existentials). It returns the first violation found, or nil.
+//
+// A clause sorted by variable, as NormalizeMatrix leaves every clause, is
+// checked in one pass with no allocation: a repeated variable is then
+// adjacent to its first occurrence. Only an unsorted clause is checked
+// against a set of the variables seen, one set shared by all such clauses.
 func (q *QBF) Validate() error {
+	var seen map[Var]bool
 	for i, c := range q.Matrix {
-		seen := make(map[Var]bool, len(c))
+		sorted, err := validateSorted(i, c)
+		if err != nil {
+			return err
+		}
+		if sorted {
+			continue
+		}
+		if seen == nil {
+			seen = make(map[Var]bool, len(c))
+		}
+		err = validateWith(i, c, seen)
 		for _, l := range c {
-			v := l.Var()
-			if v <= 0 {
-				return fmt.Errorf("clause %d: invalid literal %d", i, int(l))
-			}
-			if seen[v] {
-				return fmt.Errorf("clause %d: variable %d occurs twice", i, v)
-			}
-			seen[v] = true
+			delete(seen, l.Var())
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// validateSorted checks clause i while its variables increase. At the
+// first step down it returns false and no error: every literal before the
+// step is valid and distinct, so no violation is lost.
+func validateSorted(i int, c Clause) (bool, error) {
+	for j, l := range c {
+		v := l.Var()
+		if v <= 0 {
+			return true, invalidLit(i, l)
+		}
+		if j > 0 {
+			switch prev := c[j-1].Var(); {
+			case v == prev:
+				return true, twice(i, v)
+			case v < prev:
+				return false, nil
+			}
+		}
+	}
+	return true, nil
+}
+
+// validateWith checks clause i against seen, which it leaves holding the
+// clause's variables up to the first violation.
+func validateWith(i int, c Clause, seen map[Var]bool) error {
+	for _, l := range c {
+		v := l.Var()
+		if v <= 0 {
+			return invalidLit(i, l)
+		}
+		if seen[v] {
+			return twice(i, v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
+func invalidLit(i int, l Lit) error {
+	return fmt.Errorf("clause %d: invalid literal %d", i, int(l))
+}
+
+func twice(i int, v Var) error {
+	return fmt.Errorf("clause %d: variable %d occurs twice", i, v)
 }
 
 // ScopeConsistent checks that every clause's bound variables lie on a single
@@ -124,23 +181,16 @@ func (q *QBF) ClauseBlock(c Clause) (*Block, error) {
 
 // FreeVars returns the matrix variables not bound by the prefix, sorted.
 func (q *QBF) FreeVars() []Var {
-	seen := make(map[Var]bool)
 	var out []Var
 	for _, c := range q.Matrix {
 		for _, l := range c {
-			v := l.Var()
-			if !q.Prefix.Bound(v) && !seen[v] {
-				seen[v] = true
+			if v := l.Var(); !q.Prefix.Bound(v) {
 				out = append(out, v)
 			}
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // BindFreeVars rebuilds the prefix so that every free matrix variable is
@@ -151,20 +201,7 @@ func (q *QBF) BindFreeVars() int {
 	if len(free) == 0 {
 		return 0
 	}
-	np := NewPrefix(q.MaxVar())
-	top := np.AddBlock(nil, Exists, free...)
-	var walk func(src *Block, parent *Block)
-	walk = func(src *Block, parent *Block) {
-		nb := np.AddBlock(parent, src.Quant, src.Vars...)
-		for _, c := range src.Children {
-			walk(c, nb)
-		}
-	}
-	for _, r := range q.Prefix.Roots() {
-		walk(r, top)
-	}
-	np.Finalize()
-	q.Prefix = np
+	q.Prefix = q.Prefix.CloneBinding(free, q.MaxVar())
 	return len(free)
 }
 
@@ -210,9 +247,7 @@ func (p *Prefix) without(v Var) *Prefix {
 		if len(vars) > 0 {
 			if parent != nil && parent.Quant == src.Quant {
 				for _, x := range vars {
-					np.quant[x] = src.Quant
-					np.blockOf[x] = parent
-					parent.Vars = append(parent.Vars, x)
+					np.bind(parent, x)
 				}
 			} else {
 				target = np.AddBlock(parent, src.Quant, vars...)

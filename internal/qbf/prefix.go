@@ -67,16 +67,15 @@ func NewPrefix(maxVar int) *Prefix {
 	return p
 }
 
+// grow extends the per-variable arrays to cover maxVar. Growth is
+// amortized (append doubles the capacity), so binding variables in
+// increasing order past the initial range stays linear.
 func (p *Prefix) grow(maxVar int) {
 	if maxVar <= p.maxVar {
 		return
 	}
-	q := make([]Quant, maxVar+1)
-	copy(q, p.quant)
-	p.quant = q
-	bo := make([]*Block, maxVar+1)
-	copy(bo, p.blockOf)
-	p.blockOf = bo
+	p.quant = append(p.quant, make([]Quant, maxVar+1-len(p.quant))...)
+	p.blockOf = append(p.blockOf, make([]*Block, maxVar+1-len(p.blockOf))...)
 	p.maxVar = maxVar
 }
 
@@ -92,18 +91,37 @@ func (p *Prefix) MaxVar() int { return p.maxVar }
 // is bound by two quantifiers is outside the representation of Section II.
 // Finalize must be called after the last AddBlock.
 func (p *Prefix) AddBlock(parent *Block, q Quant, vars ...Var) *Block {
-	b := &Block{Quant: q, Vars: append([]Var(nil), vars...), parent: parent}
+	b := p.newBlock(parent, q, len(vars))
 	for _, v := range vars {
 		if v <= 0 {
 			panic(fmt.Sprintf("qbf: invalid variable %d", v))
 		}
-		p.grow(int(v))
-		if p.blockOf[v] != nil {
+		if !p.bind(b, v) {
 			panic(fmt.Sprintf("qbf: variable %d bound twice", v))
 		}
-		p.quant[v] = q
-		p.blockOf[v] = b
 	}
+	return b
+}
+
+// BindBlock is AddBlock for untrusted input. It binds vars, which must be
+// positive, in order and stops at the first one that is already bound,
+// by an earlier block or earlier in vars. It returns that variable, or 0
+// when every variable was bound. After a nonzero return the prefix must be
+// discarded.
+func (p *Prefix) BindBlock(parent *Block, q Quant, vars []Var) (*Block, Var) {
+	b := p.newBlock(parent, q, len(vars))
+	for _, v := range vars {
+		if !p.bind(b, v) {
+			return b, v
+		}
+	}
+	return b, 0
+}
+
+// newBlock links an empty block with room for n variables under parent
+// (nil: a new root).
+func (p *Prefix) newBlock(parent *Block, q Quant, n int) *Block {
+	b := &Block{Quant: q, Vars: make([]Var, 0, n), parent: parent}
 	if parent == nil {
 		p.roots = append(p.roots, b)
 	} else {
@@ -111,6 +129,19 @@ func (p *Prefix) AddBlock(parent *Block, q Quant, vars ...Var) *Block {
 	}
 	p.finished = false
 	return b
+}
+
+// bind adds the positive variable v to block b, growing the range if
+// needed. It reports false, changing nothing, if v is already bound.
+func (p *Prefix) bind(b *Block, v Var) bool {
+	p.grow(int(v))
+	if p.blockOf[v] != nil {
+		return false
+	}
+	p.quant[v] = b.Quant
+	p.blockOf[v] = b
+	b.Vars = append(b.Vars, v)
+	return true
 }
 
 // Roots returns the root blocks of the quantifier forest.
@@ -266,30 +297,54 @@ func (p *Prefix) Comparable(z, zp Var) bool {
 // sense: for each existential x and universal y, either x ≺ y or y ≺ x.
 // A chain-shaped tree is always prenex; a branching tree may still qualify
 // if the branching never separates an ∃/∀ pair.
+//
+// An ∃ and a ∀ variable whose blocks lie on one root path are always
+// comparable: the quantifier changes between the two blocks, so the prefix
+// level grows. So the prefix is non-prenex exactly when some block, or the
+// virtual root above the roots, has two different children, one whose
+// subtree binds an existential and one whose subtree binds a universal.
+// One post-order pass over the blocks decides it.
 func (p *Prefix) IsPrenex() bool {
-	return !p.hasAlternationPair()
+	p.Finalize()
+	has := make([]uint8, len(p.blocks)) // per block: the quantifiers bound in its subtree
+	for i := len(p.blocks) - 1; i >= 0; i-- {
+		b := p.blocks[i]
+		if len(b.Vars) > 0 {
+			has[i] = 1 << b.Quant
+		}
+		sub, split := splitsQuantifiers(b.Children, has)
+		if split {
+			return false
+		}
+		has[i] |= sub
+	}
+	_, split := splitsQuantifiers(p.roots, has)
+	return !split
 }
 
-// hasAlternationPair reports whether some existential x and universal y are
-// incomparable, which is what makes a prefix genuinely non-prenex.
-func (p *Prefix) hasAlternationPair() bool {
-	p.Finalize()
-	var ex, un []Var
-	for _, b := range p.blocks {
-		if b.Quant == Exists {
-			ex = append(ex, b.Vars...)
-		} else {
-			un = append(un, b.Vars...)
+// splitsQuantifiers reports whether two different blocks of bs have
+// subtrees binding an existential and a universal respectively, and
+// returns the union of their subtree quantifier sets.
+func splitsQuantifiers(bs []*Block, has []uint8) (uint8, bool) {
+	const e, a = 1 << Exists, 1 << Forall
+	var all uint8
+	nE, nA, nBoth := 0, 0, 0
+	for _, c := range bs {
+		m := has[c.id]
+		all |= m
+		if m&e != 0 {
+			nE++
+		}
+		if m&a != 0 {
+			nA++
+		}
+		if m == e|a {
+			nBoth++
 		}
 	}
-	for _, x := range ex {
-		for _, y := range un {
-			if !p.Comparable(x, y) {
-				return true
-			}
-		}
-	}
-	return false
+	// A pair of different children exists unless the only ∃ child is
+	// also the only ∀ child.
+	return all, nE > 0 && nA > 0 && !(nE == 1 && nA == 1 && nBoth == 1)
 }
 
 // NewPrenexPrefix builds a prenex (totally ordered) prefix from a sequence
@@ -304,13 +359,9 @@ func NewPrenexPrefix(maxVar int, runs ...Run) *Prefix {
 		}
 		if cur != nil && cur.Quant == r.Quant {
 			for _, v := range r.Vars {
-				p.grow(int(v))
-				if p.blockOf[v] != nil {
+				if !p.bind(cur, v) {
 					panic(fmt.Sprintf("qbf: variable %d bound twice", v))
 				}
-				p.quant[v] = r.Quant
-				p.blockOf[v] = cur
-				cur.Vars = append(cur.Vars, v)
 			}
 			continue
 		}
@@ -328,7 +379,33 @@ type Run struct {
 
 // Clone returns a deep copy of the prefix (blocks are fresh objects).
 func (p *Prefix) Clone() *Prefix {
-	q := NewPrefix(p.maxVar)
+	q := p.cloneUnder(p.maxVar, nil)
+	if p.finished {
+		q.Finalize()
+	}
+	return q
+}
+
+// CloneBinding returns a finalized deep copy of the prefix whose range
+// covers maxVar, in which the variables free, unbound in p, are bound by a
+// fresh outermost existential block enclosing all of p's roots (Section II
+// point 2: a free variable is treated as if the QBF were ∃x ϕ). With no
+// free variables it is a finalized Clone.
+func (p *Prefix) CloneBinding(free []Var, maxVar int) *Prefix {
+	q := p.cloneUnder(maxVar, free)
+	q.Finalize()
+	return q
+}
+
+// cloneUnder copies the tree into a fresh prefix of range max(p.maxVar,
+// maxVar), under a new existential root block of free if free is
+// non-empty.
+func (p *Prefix) cloneUnder(maxVar int, free []Var) *Prefix {
+	q := NewPrefix(max(p.maxVar, maxVar))
+	var top *Block
+	if len(free) > 0 {
+		top = q.AddBlock(nil, Exists, free...)
+	}
 	var walk func(src *Block, parent *Block)
 	walk = func(src *Block, parent *Block) {
 		nb := q.AddBlock(parent, src.Quant, src.Vars...)
@@ -337,10 +414,7 @@ func (p *Prefix) Clone() *Prefix {
 		}
 	}
 	for _, r := range p.roots {
-		walk(r, nil)
-	}
-	if p.finished {
-		q.Finalize()
+		walk(r, top)
 	}
 	return q
 }
@@ -416,9 +490,7 @@ func (p *Prefix) RemoveEmptyBlocks() *Prefix {
 			if parent != nil && parent.Quant == src.Quant {
 				// Merge into the parent run.
 				for _, v := range src.Vars {
-					q.quant[v] = src.Quant
-					q.blockOf[v] = parent
-					parent.Vars = append(parent.Vars, v)
+					q.bind(parent, v)
 				}
 			} else {
 				target = q.AddBlock(parent, src.Quant, src.Vars...)

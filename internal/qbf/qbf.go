@@ -15,8 +15,9 @@
 package qbf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -103,13 +104,7 @@ func (c Clause) Normalize() (Clause, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
-	sort.Slice(c, func(i, j int) bool {
-		vi, vj := c[i].Var(), c[j].Var()
-		if vi != vj {
-			return vi < vj
-		}
-		return c[i] < c[j]
-	})
+	slices.SortFunc(c, compareLits)
 	out := c[:0]
 	for i := 0; i < len(c); i++ {
 		if i > 0 && c[i] == out[len(out)-1] {
@@ -121,6 +116,14 @@ func (c Clause) Normalize() (Clause, bool) {
 		out = append(out, c[i])
 	}
 	return out, false
+}
+
+// compareLits orders literals by variable, then negative before positive.
+func compareLits(a, b Lit) int {
+	if c := cmp.Compare(a.Var(), b.Var()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
 
 // String renders the clause as a set of DIMACS literals.

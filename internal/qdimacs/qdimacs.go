@@ -14,6 +14,24 @@
 //
 // Both readers are tolerant of comment lines ("c …") anywhere before the
 // clauses and of extra whitespace.
+//
+// ReadString walks the lines of its string in place; Read buffers its
+// stream and calls ReadString, so both accept the same inputs and return
+// the same formula or the same error. Fields split as strings.Fields splits
+// them, without allocating, and numbers parse with strconv.Atoi. The clause
+// literals of one formula share one backing array, sized from the input,
+// and every clause is a 3-index slice of it, so an append to one clause
+// never writes into the next. Duplicate literals and tautologies are left
+// to QBF.NormalizeMatrix.
+//
+// A variable id is bounded by the input read so far: an id above
+// max(2^16, 8 × the bytes read up to the end of its line) is a parse error,
+// so no id makes the reader size its arrays beyond what Go can allocate.
+// The bound is linear, not tight: the prefix's per-variable arrays cost
+// about 33 bytes per id up to the largest one, so a body padded with a
+// comment can still claim about 260 bytes of prefix per byte sent, and a
+// solver built on it more (DESIGN.md §3.2). Generated formulas reach about a
+// quarter of the bound.
 package qdimacs
 
 import (
@@ -22,16 +40,56 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/qbf"
 )
 
-// Read parses either format, dispatching on the problem line.
+// Read parses either format from a stream, dispatching on the problem line.
+// It reads the whole stream first, so a stream cut off by a read error is
+// an error, never a shorter formula.
 func Read(r io.Reader) (*qbf.QBF, error) {
-	br := bufio.NewReader(r)
+	var sb strings.Builder
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, fmt.Errorf("qdimacs: reading input: %w", err)
+	}
+	return ReadString(sb.String())
+}
+
+// ReadString parses a formula from a string, walking its lines in place.
+func ReadString(s string) (*qbf.QBF, error) {
+	return read(&lines{s: s})
+}
+
+// lines yields a string one line at a time, each with its '\n' if it has
+// one, as bufio.Reader.ReadString('\n') would.
+type lines struct {
+	s    string // unread input
+	read int    // bytes consumed so far
+}
+
+// next returns the next line, with a non-nil error (io.EOF at the end of
+// the input) when no line follows it.
+func (r *lines) next() (string, error) {
+	var line string
+	var err error
+	if i := strings.IndexByte(r.s, '\n'); i >= 0 {
+		line, r.s = r.s[:i+1], r.s[i+1:]
+	} else {
+		line, r.s, err = r.s, "", io.EOF
+	}
+	r.read += len(line)
+	return line, err
+}
+
+// idLimit is the largest variable id the input read so far justifies.
+func (r *lines) idLimit() int { return max(1<<16, 8*r.read) }
+
+func read(in *lines) (*qbf.QBF, error) {
 	var header string
 	for {
-		line, err := br.ReadString('\n')
+		line, err := in.next()
 		if len(line) == 0 && err != nil {
 			return nil, fmt.Errorf("qdimacs: missing problem line: %w", err)
 		}
@@ -59,9 +117,9 @@ func Read(r io.Reader) (*qbf.QBF, error) {
 	}
 	switch fields[1] {
 	case "cnf":
-		return readBody(br, nv, nc, false)
+		return readBody(in, nv, nc, false)
 	case "qtree":
-		return readBody(br, nv, nc, true)
+		return readBody(in, nv, nc, true)
 	default:
 		return nil, fmt.Errorf("qdimacs: unknown format %q", fields[1])
 	}
@@ -73,17 +131,17 @@ func Read(r io.Reader) (*qbf.QBF, error) {
 // genuine instances simply grow on demand past the cap.
 const maxPrealloc = 1 << 16
 
-func readBody(br *bufio.Reader, nv, nc int, tree bool) (*qbf.QBF, error) {
+func readBody(in *lines, nv, nc int, tree bool) (*qbf.QBF, error) {
 	p := qbf.NewPrefix(min(nv, maxPrealloc))
 	var stack []*qbf.Block // open blocks (QTREE); in QDIMACS a chain
 	matrix := make([]qbf.Clause, 0, min(nc, maxPrealloc))
-	var pending qbf.Clause
-	bound := map[qbf.Var]bool{} // rebinding is a parse error, not a panic
+	var lits litSlab   // clause literals, the open clause last
+	var vars []qbf.Var // the current quantifier line's variables
 	inPrefix := true
 
 	lineNo := 1
 	for {
-		line, rdErr := br.ReadString('\n')
+		line, rdErr := in.next()
 		lineNo++
 		t := strings.TrimSpace(line)
 		switch {
@@ -104,22 +162,19 @@ func readBody(br *bufio.Reader, nv, nc int, tree bool) (*qbf.QBF, error) {
 			} else if !strings.HasPrefix(spec, "e") {
 				return nil, fmt.Errorf("line %d: bad quantifier %q", lineNo, t)
 			}
-			vars, err := parseVarList(spec[1:])
-			if err != nil {
+			var err error
+			if vars, err = parseVarList(spec[1:], vars[:0], in.idLimit()); err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
 			var parent *qbf.Block
 			if len(stack) > 0 {
 				parent = stack[len(stack)-1]
 			}
-			for _, v := range vars {
-				if bound[v] {
-					return nil, fmt.Errorf("line %d: variable %d bound twice", lineNo, v)
-				}
-				bound[v] = true
-				p.GrowVar(v)
+			// Rebinding is a parse error, not a panic.
+			b, twice := p.BindBlock(parent, quant, vars)
+			if twice != 0 {
+				return nil, fmt.Errorf("line %d: variable %d bound twice", lineNo, twice)
 			}
-			b := p.AddBlock(parent, quant, vars...)
 			stack = append(stack, b)
 		case tree && (t == "u" || strings.HasPrefix(t, "u ")):
 			if !inPrefix {
@@ -138,18 +193,23 @@ func readBody(br *bufio.Reader, nv, nc int, tree bool) (*qbf.QBF, error) {
 			}
 			stack = stack[:len(stack)-k]
 		default:
-			inPrefix = false
-			lits, err := parseLits(t, pending)
-			if err != nil {
+			if inPrefix {
+				// The clause section starts. In the usual layout every
+				// field but the last ends at a space or a line end, which
+				// bounds the literals left; a miss only grows the array.
+				lits.reserve(1 + strings.Count(t, " ") + strings.Count(in.s, " ") + strings.Count(in.s, "\n"))
+				inPrefix = false
+			}
+			var err error
+			if matrix, err = parseLits(t, &lits, matrix, in.idLimit()); err != nil {
 				return nil, fmt.Errorf("line %d: %v", lineNo, err)
 			}
-			pending, matrix = flushClauses(lits, matrix)
 		}
 		if rdErr != nil {
 			break
 		}
 	}
-	if len(pending) > 0 {
+	if lits.open() > 0 {
 		return nil, fmt.Errorf("qdimacs: last clause not 0-terminated")
 	}
 	p.Finalize()
@@ -158,15 +218,14 @@ func readBody(br *bufio.Reader, nv, nc int, tree bool) (*qbf.QBF, error) {
 	return qbf.New(p, matrix), nil
 }
 
-// parseVarList parses "v1 v2 … 0"; the terminating 0 is required.
-func parseVarList(s string) ([]qbf.Var, error) {
-	fields := strings.Fields(s)
-	if len(fields) == 0 {
+// parseVarList parses "v1 v2 … 0" onto vars; the terminating 0 is required.
+func parseVarList(s string, vars []qbf.Var, limit int) ([]qbf.Var, error) {
+	f, s := field(s)
+	if f == "" {
 		return nil, fmt.Errorf("empty quantifier line")
 	}
-	var vars []qbf.Var
 	terminated := false
-	for _, f := range fields {
+	for ; f != ""; f, s = field(s) {
 		n, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad variable %q", f)
@@ -177,6 +236,9 @@ func parseVarList(s string) ([]qbf.Var, error) {
 		}
 		if n < 0 {
 			return nil, fmt.Errorf("negative variable %d in quantifier line", n)
+		}
+		if n > limit {
+			return nil, idRangeError(n, limit)
 		}
 		vars = append(vars, qbf.Var(n))
 	}
@@ -189,50 +251,99 @@ func parseVarList(s string) ([]qbf.Var, error) {
 	return vars, nil
 }
 
-// parseLits accumulates literals from one clause-section line onto pending.
-// A 0 inside the line marks the end of a clause; the in-band clauseEnd
-// marker is used by flushClauses to split completed clauses off.
-func parseLits(s string, pending qbf.Clause) (qbf.Clause, error) {
-	for _, f := range strings.Fields(s) {
+// parseLits parses one clause-section line: each literal goes onto the
+// open clause of lits, and each 0 closes that clause onto matrix.
+func parseLits(s string, lits *litSlab, matrix []qbf.Clause, limit int) ([]qbf.Clause, error) {
+	for f, rest := field(s); f != ""; f, rest = field(rest) {
 		n, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad literal %q", f)
 		}
 		if n == 0 {
-			pending = append(pending, clauseEnd)
+			matrix = append(matrix, lits.close())
 			continue
 		}
-		pending = append(pending, qbf.Lit(n))
-	}
-	return pending, nil
-}
-
-// clauseEnd is an in-band marker separating completed clauses in the
-// pending buffer. Variable 0 can never occur in a literal, so the marker is
-// unambiguous.
-const clauseEnd = qbf.Lit(0)
-
-func flushClauses(pending qbf.Clause, matrix []qbf.Clause) (qbf.Clause, []qbf.Clause) {
-	start := 0
-	for i, l := range pending {
-		if l == clauseEnd {
-			c := make(qbf.Clause, i-start)
-			copy(c, pending[start:i])
-			matrix = append(matrix, c)
-			start = i + 1
+		if n > limit || n < -limit {
+			return nil, idRangeError(n, limit)
 		}
+		lits.push(qbf.Lit(n))
 	}
-	if start == 0 {
-		return pending, matrix
-	}
-	rest := make(qbf.Clause, len(pending)-start)
-	copy(rest, pending[start:])
-	return rest, matrix
+	return matrix, nil
 }
 
-// ReadString parses a formula from a string.
-func ReadString(s string) (*qbf.QBF, error) {
-	return Read(strings.NewReader(s))
+func idRangeError(n, limit int) error {
+	return fmt.Errorf("variable id %d beyond the bound %d the input read so far justifies", n, limit)
+}
+
+// litSlab hands out the clause literals of one formula from one backing
+// array. A closed clause is a 3-index slice of it, so an append to one
+// clause reallocates that clause instead of writing into the next. When the
+// array is full, one twice as large takes over with the open clause; the
+// closed clauses keep the old one.
+type litSlab struct {
+	buf   []qbf.Lit
+	start int // first literal of the open clause
+}
+
+// reserve gives a slab with no array yet room for n literals.
+func (s *litSlab) reserve(n int) {
+	if s.buf == nil {
+		s.buf = make([]qbf.Lit, 0, max(n, 1))
+	}
+}
+
+func (s *litSlab) push(l qbf.Lit) {
+	if len(s.buf) == cap(s.buf) {
+		open := s.buf[s.start:]
+		buf := make([]qbf.Lit, len(open), max(2*cap(s.buf), 64))
+		copy(buf, open)
+		s.buf, s.start = buf, 0
+	}
+	s.buf = append(s.buf, l)
+}
+
+// close ends the open clause and returns it; an empty clause is non-nil.
+func (s *litSlab) close() qbf.Clause {
+	s.reserve(1)
+	c := s.buf[s.start:len(s.buf):len(s.buf)]
+	s.start = len(s.buf)
+	return c
+}
+
+// open returns the length of the open clause.
+func (s *litSlab) open() int { return len(s.buf) - s.start }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// field returns the first field of s and the rest of s after it, splitting
+// exactly as strings.Fields does (on ASCII white space and on every Unicode
+// space rune) without allocating. f is empty when s holds no field.
+func field(s string) (f, rest string) {
+	i := skip(s, 0, true)
+	j := skip(s, i, false)
+	return s[i:j], s[j:]
+}
+
+// skip advances from byte i of s past white space (space true) or past
+// anything else (space false), and returns where it stopped. An invalid
+// byte is a one-byte non-space rune, as for strings.Fields.
+func skip(s string, i int, space bool) int {
+	for i < len(s) {
+		c, w, sp := s[i], 1, false
+		if c < utf8.RuneSelf {
+			sp = asciiSpace[c]
+		} else {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			sp = unicode.IsSpace(r)
+		}
+		if sp != space {
+			break
+		}
+		i += w
+	}
+	return i
 }
 
 // Write renders q in QDIMACS if its prefix is a chain, and in QTREE

@@ -1,9 +1,12 @@
 package qdimacs
 
 import (
+	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/qbf"
 )
@@ -121,6 +124,24 @@ func TestReadErrors(t *testing.T) {
 				t.Errorf("input %q must fail", c.in)
 			}
 		})
+	}
+}
+
+// TestReadStream reads a formula from a stream as ReadString reads its
+// text, and reports a stream cut off by a read error, even at a clause
+// boundary, instead of parsing what arrived.
+func TestReadStream(t *testing.T) {
+	in := "p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n-1 0\n"
+	q, err := Read(iotest.OneByteReader(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := ReadString(in); q.String() != want.String() {
+		t.Fatalf("Read gave %s, ReadString %s", q, want)
+	}
+	cut := errors.New("connection reset")
+	if _, err := Read(io.MultiReader(strings.NewReader(in), iotest.ErrReader(cut))); !errors.Is(err, cut) {
+		t.Fatalf("cut stream: err = %v, want %v", err, cut)
 	}
 }
 

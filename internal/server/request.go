@@ -225,7 +225,11 @@ func buildSpec(req *SolveRequest, caps Caps) (*solveSpec, error) {
 	// The reader leaves duplicate literals and tautological clauses to the
 	// standard cleanup (see the qdimacs package contract); run it here so a
 	// request the workers would reject is a 400 at decode time — and, for
-	// sessions, never journaled.
+	// sessions, never journaled. Every step is linear in the request (the
+	// reader bounds variable ids by the bytes read, Validate checks a
+	// normalized clause in one pass, IsPrenex below is one pass over the
+	// blocks), so the decode path, which runs before admission, costs no
+	// more than reading the body.
 	q.NormalizeMatrix()
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid formula: %w", err)

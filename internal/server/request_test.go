@@ -1,11 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lineartest"
 	"repro/internal/qbf"
 )
 
@@ -210,4 +212,29 @@ func TestWitnessInts(t *testing.T) {
 	if witnessInts(nil, 4) != nil {
 		t.Fatal("nil model must give nil witness")
 	}
+}
+
+// TestBuildSpecLinearPrenexCheck sends a mode=to request whose prefix is a
+// two-block chain of 200k variables per side. buildSpec checks the prefix
+// for prenexity on the decode path, before admission, so the check must
+// be linear: under a generous bound it takes milliseconds, while the
+// pairwise check takes minutes.
+func TestBuildSpecLinearPrenexCheck(t *testing.T) {
+	const side = 200_000
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "p cnf %d 1\ne", 2*side)
+	for v := 1; v <= 2*side; v++ {
+		if v == side+1 {
+			sb.WriteString(" 0\na")
+		}
+		fmt.Fprintf(&sb, " %d", v)
+	}
+	sb.WriteString(" 0\n1 0\n")
+	req := &SolveRequest{Formula: sb.String(), Mode: "to"}
+
+	lineartest.Within(t, "buildSpec on a mode=to request with a 400k-variable chain", func() {
+		if _, err := buildSpec(req, Caps{}); err != nil {
+			t.Error(err)
+		}
+	})
 }

@@ -155,6 +155,14 @@ func TestServeRejections(t *testing.T) {
 			t.Fatalf("got %d %+v, want 400", status, resp)
 		}
 	})
+	t.Run("huge variable id", func(t *testing.T) {
+		// An id no 40-byte input can justify is a parse error: the reader
+		// must not size per-variable arrays by it, or panic trying.
+		status, resp := postSolve(t, ts.URL, SolveRequest{Formula: "p cnf 1 1\ne 1000000000000000 0\n1000000000000000 0\n"})
+		if status != result.StatusBadRequest || !strings.Contains(resp.Error, "parsing formula") {
+			t.Fatalf("got %d %+v, want 400 parsing formula", status, resp)
+		}
+	})
 	t.Run("portfolio", func(t *testing.T) {
 		status, resp := postSolve(t, ts.URL, SolveRequest{Formula: tinyFalse, Mode: "portfolio"})
 		if status != result.StatusBadRequest || !strings.Contains(resp.Error, "unknown mode") {
@@ -198,6 +206,29 @@ func TestServeBudgetStops(t *testing.T) {
 			t.Fatalf("got %d stop=%q, want 422 node-limit", status, resp.Stop)
 		}
 	})
+}
+
+// TestServePaddedLargeID sends one large id behind a padding comment. The
+// id bound, max(2^16, 8 × the bytes read through the id's line), grows with
+// the bytes read, so an id at the bound is solved and one past it is a 400
+// naming the bound. Such a request still makes the decode path and the
+// solver size their per-variable arrays by the id: linear in the body, but
+// at a large factor (DESIGN.md §3.2).
+func TestServePaddedLargeID(t *testing.T) {
+	_, ts := testService(t, Config{Workers: 1})
+	head := "p cnf 1 1\nc " + strings.Repeat("x", 16<<10) + "\n"
+	bound := 8 * (len(head) + len("e 123456 0\n")) // 131,264: six digits
+	formula := func(id int) string { return fmt.Sprintf("%se %d 0\n%d 0\n", head, id, id) }
+
+	status, resp := postSolve(t, ts.URL, SolveRequest{Formula: formula(bound)})
+	if status != result.StatusOK || resp.Verdict != "TRUE" {
+		t.Fatalf("id %d at the bound: got %d %q (error=%q), want 200 TRUE", bound, status, resp.Verdict, resp.Error)
+	}
+	status, resp = postSolve(t, ts.URL, SolveRequest{Formula: formula(bound + 1)})
+	want := fmt.Sprintf("variable id %d beyond the bound %d", bound+1, bound)
+	if status != result.StatusBadRequest || !strings.Contains(resp.Error, want) {
+		t.Fatalf("id past the bound: got %d %+v, want 400 %q", status, resp, want)
+	}
 }
 
 // gatedService builds a 1-worker server whose solver hook blocks until

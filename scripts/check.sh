@@ -59,7 +59,23 @@
 #                          its verdict and search counts compared with
 #                          internal/bench/testdata/search_counts.golden,
 #                          so a change that alters the search fails here
-#                          by name)
+#                          by name. Then the path from formula text to a
+#                          ready solver: NewSolver against the reference
+#                          pipeline (Clone, NormalizeMatrix, Validate,
+#                          BindFreeVars, ScopeConsistent, UniversalReduce)
+#                          on damaged random formulas, error texts and
+#                          their precedence included; IsPrenex and
+#                          Validate against their pairwise and map
+#                          definitions; the linear-time guards (IsPrenex
+#                          on 200k-variable chains, NewSolver on a
+#                          200k-literal clause, buildSpec's prenex check
+#                          on a mode=to request), each under a wall bound
+#                          a quadratic step misses by minutes, and
+#                          NewSolver's bytes on alternating chains of 1k
+#                          and 4k blocks, which must grow linearly; and the
+#                          allocation test: ReadString plus NewSolver on
+#                          four times the clauses may cost at most four
+#                          more allocations — see DESIGN.md §3.2)
 #   9. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
 #                          service request decoder, the clause-arena
 #                          op-stream model, and the session journal reader
@@ -137,7 +153,7 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants) + search counts golden"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants) + search counts golden + construction path"
 go test -tags qbfdebug -race -count=1 \
     -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise' \
     ./internal/core/
@@ -145,6 +161,11 @@ go test -tags qbfdebug -race -count=1 -short \
     -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
     ./internal/dia/
 go test -count=1 -run TestSearchCountsGolden ./internal/bench/
+go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat' \
+    ./internal/core/
+go test -count=1 -run 'TestIsPrenexMatchesPairwise|TestValidateMatchesMapReference|TestIsPrenexLinear' \
+    ./internal/qbf/
+go test -count=1 -run TestBuildSpecLinearPrenexCheck ./internal/server/
 
 echo "==> go test -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/"
 go test -run '^$' -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/
