@@ -15,8 +15,8 @@ type analysis struct {
 	// asserting means lits is a learnable constraint that becomes unit at
 	// blevel, forcing force.
 	asserting bool
-	lits      []qbf.Lit
-	force     qbf.Lit
+	lits      []code
+	force     code
 	blevel    int
 	// frame is the deepest assumption frame the derivation resolved with:
 	// the maximum frame tag over the seed constraint and every reason
@@ -31,16 +31,16 @@ type analysis struct {
 // reused across analyses (cleared through the vars list), which keeps the
 // hot solution-analysis path free of map operations.
 type workSet struct {
-	lit  []qbf.Lit // indexed by variable; 0 = absent
-	pos  []int32   // indexed by variable: its index in vars while present
-	vars []qbf.Var // current members, unordered
-	drop []qbf.Var // reduceSet's scratch list of members to delete
+	lit  []code   // indexed by variable; 0 = absent
+	pos  []int32  // indexed by variable: its index in vars while present
+	vars []uint32 // current members' variables, unordered
+	drop []uint32 // reduceSet's scratch list of members to delete
 }
 
 // newWorkSet returns the solver's reusable working set, cleared.
 func (s *Solver) newWorkSet() *workSet {
 	if s.ws.lit == nil {
-		s.ws.lit = make([]qbf.Lit, s.nVars+1)
+		s.ws.lit = make([]code, s.nVars+1)
 		s.ws.pos = make([]int32, s.nVars+1)
 	}
 	for _, v := range s.ws.vars {
@@ -50,13 +50,13 @@ func (s *Solver) newWorkSet() *workSet {
 	return &s.ws
 }
 
-func (w *workSet) has(v qbf.Var) bool    { return w.lit[v] != 0 }
-func (w *workSet) get(v qbf.Var) qbf.Lit { return w.lit[v] }
+func (w *workSet) has(v uint32) bool { return w.lit[v] != 0 }
+func (w *workSet) get(v uint32) code { return w.lit[v] }
 
 // add inserts l, overwriting any literal of the same variable (callers
 // check for tautologies before resolving).
-func (w *workSet) add(l qbf.Lit) {
-	v := l.Var()
+func (w *workSet) add(l code) {
+	v := l.v()
 	if w.lit[v] == 0 {
 		w.pos[v] = int32(len(w.vars))
 		w.vars = append(w.vars, v)
@@ -65,7 +65,7 @@ func (w *workSet) add(l qbf.Lit) {
 }
 
 // del removes v's literal; the last member moves into its slot.
-func (w *workSet) del(v qbf.Var) {
+func (w *workSet) del(v uint32) {
 	if w.lit[v] == 0 {
 		return
 	}
@@ -76,8 +76,8 @@ func (w *workSet) del(v qbf.Var) {
 	w.vars = w.vars[:len(w.vars)-1]
 }
 
-func (w *workSet) slice() []qbf.Lit {
-	out := make([]qbf.Lit, 0, len(w.vars))
+func (w *workSet) slice() []code {
+	out := make([]code, 0, len(w.vars))
 	for _, v := range w.vars {
 		out = append(out, w.lit[v])
 	}
@@ -147,7 +147,7 @@ func (s *Solver) analyze(ci int, q qbf.Quant) analysis {
 	}
 	s.reduceSet(w, q)
 
-	tried := make(map[qbf.Var]bool)
+	tried := make(map[uint32]bool)
 	for {
 		if a, done := s.verdict(w, q); done {
 			a.frame = frame
@@ -157,7 +157,7 @@ func (s *Solver) analyze(ci int, q qbf.Quant) analysis {
 		if !ok {
 			return analysis{lits: w.slice(), frame: frame} // non-asserting resolvent
 		}
-		v := pivot.Var()
+		v := pivot.v()
 		rc := s.reasonC[v]
 		s.ar.bumpActivity(rc)
 		if f := s.ar.frame(rc); f > frame {
@@ -166,7 +166,7 @@ func (s *Solver) analyze(ci int, q qbf.Quant) analysis {
 		w.del(v)
 		for k, n := 0, s.ar.size(rc); k < n; k++ {
 			m := s.ar.lit(rc, k)
-			if m.Var() == v {
+			if m.v() == v {
 				continue
 			}
 			w.add(m)
@@ -179,13 +179,13 @@ func (s *Solver) analyze(ci int, q qbf.Quant) analysis {
 // unit-propagated by a constraint of its own kind (a clause for q = ∃, a
 // cube for q = ∀) and whose reason does not introduce a (long-distance)
 // tautology into w.
-func (s *Solver) pickPivot(w *workSet, tried map[qbf.Var]bool, q qbf.Quant) (qbf.Lit, bool) {
+func (s *Solver) pickPivot(w *workSet, tried map[uint32]bool, q qbf.Quant) (code, bool) {
 	cube := q == qbf.Forall
-	best := qbf.NoLit
+	best := code(0)
 	bestPos := -1
 	for _, v := range w.vars {
 		l := w.get(v)
-		if tried[v] || s.quant[v] != q || s.value[v] == undef {
+		if tried[v] || s.quant[v] != q || s.val[l] == undef {
 			continue
 		}
 		if s.reason[v] != reasonConstraint || s.ar.isCube(s.reasonC[v]) != cube {
@@ -197,10 +197,10 @@ func (s *Solver) pickPivot(w *workSet, tried map[qbf.Var]bool, q qbf.Quant) (qbf
 			rc := s.reasonC[v]
 			for k, n := 0, s.ar.size(rc); k < n; k++ {
 				m := s.ar.lit(rc, k)
-				if m.Var() == v {
+				if m.v() == v {
 					continue
 				}
-				if prev := w.get(m.Var()); prev != 0 && prev != m {
+				if prev := w.get(m.v()); prev != 0 && prev != m {
 					ok = false
 					break
 				}
@@ -228,7 +228,7 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 		dormant, trig = vFalse, vTrue
 	}
 	lambda := -1
-	var star qbf.Lit
+	var star code
 	unique := true
 	anyQ := false
 	for _, v := range w.vars {
@@ -237,7 +237,7 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 			continue
 		}
 		anyQ = true
-		if s.value[v] == undef {
+		if s.val[l] == undef {
 			// An unassigned q literal can only enter through a reason
 			// whose side conditions held; treat the resolvent as
 			// non-asserting.
@@ -267,7 +267,7 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 		if l == star {
 			continue
 		}
-		switch s.litValue(l) {
+		switch s.val[l] {
 		case dormant:
 			return analysis{}, false // a dormant resolvent can't assert
 		case trig:
@@ -276,7 +276,7 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 			// rule, so it does not bound the backjump level; every q
 			// literal must stay hit, and so must the other-quantifier
 			// literals in whose scope star lies.
-			if s.quant[v] == q || s.before(v, star.Var()) {
+			if s.quant[v] == q || s.before(v, star.v()) {
 				if s.dlevel[v] > blevel {
 					blevel = s.dlevel[v]
 				}
@@ -284,7 +284,7 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 		default:
 			// Unassigned literal of the other quantifier: it must not
 			// block the unit rule on star after the backjump.
-			if s.before(v, star.Var()) {
+			if s.before(v, star.v()) {
 				return analysis{}, false
 			}
 		}
@@ -302,32 +302,49 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 // reduction, so they are preferred over anything else (they make the good
 // strictly smaller); after that, literals already chosen, then literals
 // assigned at the outermost level.
+//
+// A clause whose literals are all eReducible adds nothing (its true
+// literal is reducible), so the walk visits only the coverable lists:
+// coverBase, the construction-time originals in arena order, then
+// coverRuntime. Incremental sessions keep runtime-added original clauses
+// above origEnd, interleaved with learned constraints; the cover must span
+// them too — a cube is an implicant of the whole current matrix. The
+// qbfdebug deep checker recomputes the cover by a full walk of every
+// original clause (checkCover).
 func (s *Solver) coverCube(w *workSet) {
-	for ci := 0; ci < s.origEnd; ci = s.ar.next(ci) {
-		s.coverClause(w, ci)
+	for _, ci := range s.coverBase {
+		s.coverClause(w, int(ci))
 	}
-	// Incremental sessions keep runtime-added original clauses above
-	// origEnd, interleaved with learned constraints; the cover must span
-	// them too — a cube is an implicant of the whole current matrix. The
-	// maintained list reaches them without walking the learned region.
-	for _, ci := range s.runtimeOrig {
-		s.coverClause(w, ci)
+	for _, ci := range s.coverRuntime {
+		s.coverClause(w, int(ci))
 	}
+	s.checkCover(w)
 }
 
 // coverClause extends the cover w to the original clause ci, choosing the
 // best true literal by the (class, pure, dlevel) key. A true literal that
 // is statically reducible or already in w ends the scan: either way the
-// clause adds nothing to the cover.
+// clause adds nothing to the cover. The literal whose dequeue satisfied
+// the clause — trail[sat(ci)-1], true at every empty-matrix solution — is
+// tested first, so a clause it settles costs no scan; this cannot change
+// the cover, because the scan would return on that literal too.
 func (s *Solver) coverClause(w *workSet, ci int) {
-	var best qbf.Lit
+	tag := s.ar.sat(ci)
+	if tag == 0 {
+		invariant.Violated("core: coverCube called with an unsatisfied original clause")
+	}
+	if t := s.trail[tag-1]; s.eReducible[t.v()] || w.get(t.v()) == t {
+		return
+	}
+	var best code
 	bestKey := [3]int{2, 2, int(^uint(0) >> 1)} // (class, pure, dlevel); lower wins
 	for k, n := 0, s.ar.size(ci); k < n; k++ {
 		l := s.ar.lit(ci, k)
-		if s.litValue(l) != vTrue {
+		if s.val[l] != vTrue {
 			continue
 		}
-		if s.eReducible[l.Var()] || w.get(l.Var()) == l {
+		v := l.v()
+		if s.eReducible[v] || w.get(v) == l {
 			// Either w already covers the clause, or a statically
 			// reducible existential would be chosen — and adding it then
 			// existential-reducing would delete it again (no universal
@@ -343,22 +360,22 @@ func (s *Solver) coverClause(w *workSet, ci int) {
 		// the variable's prefix position, and it poisons the backjump
 		// level of the learned good.
 		class := 0
-		if s.quant[l.Var()] == qbf.Forall {
+		if s.quant[v] == qbf.Forall {
 			class = 1
 		}
 		pure := 0
-		if s.reason[l.Var()] == reasonPure {
+		if s.reason[v] == reasonPure {
 			pure = 1
 		}
-		key := [3]int{class, pure, s.dlevel[l.Var()]}
+		key := [3]int{class, pure, s.dlevel[v]}
 		if key[0] < bestKey[0] ||
 			(key[0] == bestKey[0] && (key[1] < bestKey[1] ||
 				(key[1] == bestKey[1] && key[2] < bestKey[2]))) {
 			best, bestKey = l, key
 		}
 	}
-	if best == qbf.NoLit {
-		invariant.Violated("core: coverCube called with an unsatisfied original clause")
+	if best == 0 {
+		invariant.Violated("core: original clause %d has no true literal at an empty-matrix solution", ci)
 	}
 	w.add(best)
 }
@@ -409,12 +426,12 @@ func (s *Solver) handle(ci int, q qbf.Quant) bool {
 func (s *Solver) chronoFlip(q qbf.Quant) bool {
 	for lvl := s.level; lvl >= 1; lvl-- {
 		l := s.trail[s.levelStart[lvl]]
-		v := l.Var()
+		v := l.v()
 		if s.reason[v] == reasonDecision && s.quant[v] == q {
 			s.backtrack(lvl - 1)
 			s.level++
 			s.levelStart = append(s.levelStart, len(s.trail))
-			s.assign(l.Neg(), reasonFlipped, -1)
+			s.assign(l^1, reasonFlipped, -1)
 			s.stats.ChronoBacktracks++
 			return true
 		}

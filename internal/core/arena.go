@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/qbf"
-)
+import "math"
 
 // This file is the arena clause store: every constraint (original clause,
 // learned clause, learned cube) lives in one flat []uint32 region and is
@@ -12,8 +8,10 @@ import (
 // replaces the previous pointer-per-constraint []constraint slice: no
 // per-constraint allocations, no pointer fields for the GC to trace, and
 // deletion plus in-place compaction instead of tenured garbage. Literals are
-// stored as uint32(int32(lit)) — variable counts are bounded far below 2^30,
-// so the narrowing is lossless — and decoded with a sign extension.
+// stored as their codes (solver.go: 2v for +v, 2v+1 for ¬v), the form every
+// reader uses, so a read is one load and nothing is decoded. Variable ids
+// are bounded far below 2^31 (the QDIMACS reader's bound is about 2^26), so
+// every code fits a word.
 //
 // Constraint layout (hdrWords header words, then size literal words):
 //
@@ -64,7 +62,7 @@ type arena struct {
 }
 
 // alloc appends a constraint and returns its ref. Activity starts at 1.
-func (a *arena) alloc(lits []qbf.Lit, isCube, learned bool) int {
+func (a *arena) alloc(lits []code, isCube, learned bool) int {
 	ci := len(a.d)
 	hdr := uint32(len(lits))
 	if isCube {
@@ -75,7 +73,7 @@ func (a *arena) alloc(lits []qbf.Lit, isCube, learned bool) int {
 	}
 	a.d = append(a.d, hdr, math.Float32bits(1), 0, 0)
 	for _, l := range lits {
-		a.d = append(a.d, uint32(int32(l)))
+		a.d = append(a.d, uint32(l))
 	}
 	return ci
 }
@@ -92,7 +90,7 @@ func (a *arena) deleted(ci int) bool { return a.d[ci]&flagDeleted != 0 }
 func (a *arena) next(ci int) int { return ci + hdrWords + a.size(ci) }
 func (a *arena) end() int        { return len(a.d) }
 
-func (a *arena) lit(ci, k int) qbf.Lit { return qbf.Lit(int32(a.d[ci+hdrWords+k])) } //lint:allow L2 round-trip decode of a literal alloc validated and stored
+func (a *arena) lit(ci, k int) code { return code(a.d[ci+hdrWords+k]) }
 
 func (a *arena) swapLits(ci, j, k int) {
 	b := ci + hdrWords

@@ -14,6 +14,9 @@ import (
 // way the solver rebinds its occurrence/watcher lists, and the arena is
 // verified ref-by-ref against the model: contents, flags, activity, the
 // wasted-words counter, and the stability of the original-clause prefix.
+// The model holds qbf literals and the arena their codes, so every
+// literal read back is checked through the enc/lit round trip, with
+// variable ids across the QDIMACS reader's whole admissible range.
 // This mirrors the FuzzRead harness in internal/qdimacs (which found real
 // reader bugs): the arena is the one structure whose silent corruption the
 // engine could not detect by itself.
@@ -23,6 +26,14 @@ func FuzzArena(f *testing.F) {
 	f.Add([]byte{0, 5, 10, 1, 6, 11, 2, 0, 4, 0, 7, 12, 2, 0, 4})
 	f.Add([]byte{1, 9, 9, 9, 2, 0, 2, 0, 4, 4, 3, 1, 0, 2, 2, 1, 4})
 	f.Add([]byte{0, 255, 254, 253, 252, 251, 250, 4, 2, 0, 4, 0, 1, 2, 4})
+	// Wide literals at the extremes: variable 1 and variable 2^26, both
+	// polarities, in originals, a learned clause and a learned cube.
+	f.Add([]byte{3, 128, 0, 0, 0, 192, 0, 0, 0, 131, 255, 255, 255, 195, 255, 255, 255,
+		1, 131, 255, 255, 255, 0, 1, 195, 255, 255, 255,
+		0, 1, 128, 0, 0, 0, 131, 255, 255, 255, 1, 1, 192, 0, 0, 0, 195, 255, 255, 255, 4})
+	f.Add([]byte{0, 195, 255, 255, 255, 0, 131, 255, 255, 255, 0, 192, 0, 0, 0,
+		1, 5, 131, 255, 255, 255, 195, 255, 255, 255, 128, 0, 0, 0, 192, 0, 0, 0, 7, 71,
+		2, 0, 4, 0, 0, 131, 255, 255, 255, 4})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		type mc struct {
 			ref     int32
@@ -41,26 +52,41 @@ func FuzzArena(f *testing.F) {
 			pos++
 			return b
 		}
+		// A literal byte b below 128 names variable 1 + b%50; one from 128
+		// up starts a wide literal: variable 1 + the 26-bit number made of
+		// b's low two bits and the next three bytes, so ids run from 1 to
+		// 2^26, the QDIMACS reader's bound for an 8 MiB body. Bit 6 of b is
+		// the polarity either way.
 		decodeLits := func() []qbf.Lit {
 			n := 1 + int(next()%6)
 			lits := make([]qbf.Lit, 0, n)
 			for i := 0; i < n; i++ {
 				b := next()
 				v := 1 + int(b%50)
-				l := qbf.Var(v).PosLit()
+				if b >= 128 {
+					v = 1 + (int(b&3)<<24 | int(next())<<16 | int(next())<<8 | int(next()))
+				}
+				l := qbf.VarOf(v).PosLit()
 				if b&64 != 0 {
-					l = qbf.Var(v).NegLit()
+					l = l.Neg()
 				}
 				lits = append(lits, l)
 			}
 			return lits
+		}
+		encode := func(lits []qbf.Lit) []code {
+			out := make([]code, len(lits))
+			for i, l := range lits {
+				out[i] = enc(l)
+			}
+			return out
 		}
 
 		// Fixed original prefix: refs below origEnd must never move.
 		var originals []mc
 		for i := 0; i < 3; i++ {
 			lits := decodeLits()
-			ref := int32(a.alloc(lits, false, false))
+			ref := int32(a.alloc(encode(lits), false, false))
 			originals = append(originals, mc{ref: ref, lits: lits, act: 1})
 		}
 		origEnd := a.end()
@@ -92,8 +118,8 @@ func FuzzArena(f *testing.F) {
 						stage, ci, a.isCube(ci), a.size(ci), m.isCube, len(m.lits))
 				}
 				for k, l := range m.lits {
-					if a.lit(ci, k) != l {
-						t.Fatalf("%s: ref %d literal %d is %d, want %d", stage, ci, k, a.lit(ci, k), l)
+					if c := a.lit(ci, k); c != enc(l) || c.lit() != l {
+						t.Fatalf("%s: ref %d literal %d is code %d (literal %d), want %d", stage, ci, k, c, c.lit(), l)
 					}
 				}
 				if got := float32(a.activity(ci)); got != m.act {
@@ -112,7 +138,7 @@ func FuzzArena(f *testing.F) {
 			switch op {
 			case 0, 1:
 				lits := decodeLits()
-				ref := int32(a.alloc(lits, op == 1, true))
+				ref := int32(a.alloc(encode(lits), op == 1, true))
 				model = append(model, mc{ref: ref, lits: lits, isCube: op == 1, act: 1})
 			case 2:
 				lv := live()

@@ -61,7 +61,7 @@ func installedOriginals(s *Solver) []qbf.Clause {
 	for ci := 0; ci < s.ar.end(); ci = s.ar.next(ci) {
 		c := make(qbf.Clause, s.ar.size(ci))
 		for k := range c {
-			c[k] = s.ar.lit(ci, k)
+			c[k] = s.ar.lit(ci, k).lit()
 		}
 		slices.Sort(c)
 		out = append(out, c)

@@ -4,6 +4,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/invariant"
 	"repro/internal/qbf"
@@ -30,9 +31,9 @@ func (s *Solver) attachInvariantPrefix(p *qbf.Prefix) {
 		if s.blockOf[a] < 0 || s.blockOf[b] < 0 {
 			return // ghost variables take no part in solving
 		}
-		invariant.Check(s.before(a, b) == p.Before(a, b),
+		invariant.Check(s.before(uint32(a), uint32(b)) == p.Before(a, b),
 			"core: solver before(%d,%d)=%v disagrees with Prefix.Before=%v",
-			a, b, s.before(a, b), p.Before(a, b))
+			a, b, s.before(uint32(a), uint32(b)), p.Before(a, b))
 	}
 	if s.nVars <= 64 {
 		for a := qbf.MinVar; a.Int() <= s.nVars; a++ {
@@ -63,18 +64,30 @@ func (s *Solver) deepCheck() {
 	s.checkMatrixBookkeeping()
 	s.checkWatchInvariants()
 	s.checkFrames()
+	s.checkRuntimeOrder()
+	s.checkCoverLists()
 }
 
+// truth is the value of the qbf literal l under the value table.
+func (s *Solver) truth(l qbf.Lit) int8 { return s.val[enc(l)] }
+
+// checkTrail validates the trail against the per-variable arrays and the
+// value table: each variable's two entries are both undef or one vTrue and
+// one vFalse, a variable is assigned exactly when it is on the trail, and
+// its trail literal is the true one.
 func (s *Solver) checkTrail() {
 	invariant.Check(s.qhead == len(s.trail),
 		"core: deepCheck at a non-fixpoint: qhead=%d, trail=%d", s.qhead, len(s.trail))
 	invariant.Check(len(s.levelStart) == s.level+1,
 		"core: levelStart has %d entries for level %d", len(s.levelStart), s.level)
+	invariant.Check(len(s.val) == 2*(s.nVars+1),
+		"core: value table has %d entries for %d variables", len(s.val), s.nVars)
 
-	for i, l := range s.trail {
-		v := l.Var()
-		invariant.Check(v >= qbf.MinVar && v.Int() <= s.nVars, "core: trail[%d] has variable %d out of range", i, v)
-		invariant.Check(s.litValue(l) == vTrue, "core: trail literal %d is not true", l)
+	for i, c := range s.trail {
+		v := int(c.v())
+		invariant.Check(v >= 1 && v <= s.nVars, "core: trail[%d] has variable %d out of range", i, v)
+		l := c.lit()
+		invariant.Check(s.truth(l) == vTrue, "core: trail literal %d is not true", l)
 		invariant.Check(s.trailPos[v] == i, "core: trailPos[%d]=%d, but the variable sits at %d", v, s.trailPos[v], i)
 		invariant.Check(s.dlevel[v] >= 0 && s.dlevel[v] <= s.level, "core: dlevel[%d]=%d outside [0,%d]", v, s.dlevel[v], s.level)
 		invariant.Check(s.reason[v] != reasonNone, "core: assigned variable %d has no reason", v)
@@ -82,10 +95,13 @@ func (s *Solver) checkTrail() {
 	}
 	assigned := 0
 	for v := qbf.MinVar; v.Int() <= s.nVars; v++ {
-		if s.value[v] != undef {
+		pos, neg := s.truth(v.PosLit()), s.truth(v.NegLit())
+		invariant.Check(pos == undef && neg == undef || pos == vTrue && neg == vFalse || pos == vFalse && neg == vTrue,
+			"core: value table entries of variable %d are %d and %d: neither both unassigned nor complementary", v, pos, neg)
+		if pos != undef {
 			assigned++
 			tp := s.trailPos[v]
-			invariant.Check(tp >= 0 && tp < len(s.trail) && s.trail[tp].Var() == v,
+			invariant.Check(tp >= 0 && tp < len(s.trail) && s.trail[tp].lit().Var() == v,
 				"core: assigned variable %d not found on the trail", v)
 		} else {
 			invariant.Check(s.reason[v] == reasonNone, "core: unassigned variable %d carries reason %d", v, s.reason[v])
@@ -104,18 +120,19 @@ func (s *Solver) checkTrail() {
 			end = s.levelStart[k+1]
 		}
 		invariant.Check(start < end, "core: decision level %d is empty [%d,%d)", k, start, end)
-		l := s.trail[start]
-		rk := s.reason[l.Var()]
+		v := s.trail[start].lit().Var()
+		rk := s.reason[v]
 		invariant.Check(rk == reasonDecision || rk == reasonFlipped,
 			"core: level %d starts with reason %d, want a decision", k, rk)
-		invariant.Check(s.dlevel[l.Var()] == k,
-			"core: decision of level %d recorded at dlevel %d", k, s.dlevel[l.Var()])
+		invariant.Check(s.dlevel[v] == k,
+			"core: decision of level %d recorded at dlevel %d", k, s.dlevel[v])
 	}
 
 	// Constraint-propagated literals must cite a live reason constraint
 	// that actually contains them (negated for cube propagations, which
 	// assign the complement of the remaining universal literal).
-	for _, l := range s.trail {
+	for _, c := range s.trail {
+		l := c.lit()
 		v := l.Var()
 		if s.reason[v] != reasonConstraint {
 			continue
@@ -129,7 +146,7 @@ func (s *Solver) checkTrail() {
 		}
 		found := false
 		for k, n := 0, s.ar.size(ci); k < n; k++ {
-			if s.ar.lit(ci, k) == want {
+			if s.ar.lit(ci, k).lit() == want {
 				found = true
 				break
 			}
@@ -143,7 +160,7 @@ func (s *Solver) checkBlockBookkeeping() {
 		b := &s.blocks[bi]
 		un := 0
 		for _, v := range b.vars {
-			if s.value[v] == undef {
+			if s.truth(v.PosLit()) == undef {
 				un++
 			}
 		}
@@ -179,8 +196,8 @@ func (s *Solver) checkConstraintCounters() {
 		want := 0
 		if !s.ar.learned(ci) {
 			for k, n := 0, s.ar.size(ci); k < n; k++ {
-				l := s.ar.lit(ci, k)
-				if p := s.trailPos[l.Var()]; s.litValue(l) == vTrue && (want == 0 || p+1 < want) {
+				l := s.ar.lit(ci, k).lit()
+				if p := s.trailPos[l.Var()]; s.truth(l) == vTrue && (want == 0 || p+1 < want) {
 					want = p + 1
 				}
 			}
@@ -253,12 +270,12 @@ func (s *Solver) checkWatchInvariants() {
 		invariant.Check(total[int32(ci)] == nw,
 			"core: constraint %d has %d watcher registrations, want %d", ci, total[int32(ci)], nw)
 		for k := 0; k < nw; k++ {
-			w := s.ar.lit(ci, k)
+			w := s.ar.lit(ci, k).lit()
 			var list []watcher
 			if isCube {
-				list = s.watchCu[litIdx(w)]
+				list = s.watchCu[enc(w)]
 			} else {
-				list = s.watchCl[litIdx(w.Neg())]
+				list = s.watchCl[enc(w.Neg())]
 			}
 			count := 0
 			for _, e := range list {
@@ -266,10 +283,10 @@ func (s *Solver) checkWatchInvariants() {
 					continue
 				}
 				count++
-				b := qbf.Lit(e.blocker) //lint:allow L2 round-trip decode of a stored watcher blocker
+				b := e.blocker.lit()
 				member := false
 				for j := 0; j < n; j++ {
-					if s.ar.lit(ci, j) == b {
+					if s.ar.lit(ci, j).lit() == b {
 						member = true
 						break
 					}
@@ -285,12 +302,12 @@ func (s *Solver) checkWatchInvariants() {
 			sat := false
 			undefE := 0
 			for k := 0; k < n; k++ {
-				l := s.ar.lit(ci, k)
-				if s.litValue(l) == vTrue {
+				l := s.ar.lit(ci, k).lit()
+				if s.truth(l) == vTrue {
 					sat = true
 					break
 				}
-				if s.value[l.Var()] == undef && s.quant[l.Var()] == qbf.Exists {
+				if s.truth(l) == undef && s.quant[l.Var()] == qbf.Exists {
 					undefE++
 				}
 			}
@@ -299,8 +316,8 @@ func (s *Solver) checkWatchInvariants() {
 					"core: original clause %d is conflicting at a fixpoint (silent conflict)", ci)
 				watchesUndefE := false
 				for k := 0; k < nw; k++ {
-					w := s.ar.lit(ci, k)
-					if s.value[w.Var()] == undef && s.quant[w.Var()] == qbf.Exists {
+					w := s.ar.lit(ci, k).lit()
+					if s.truth(w) == undef && s.quant[w.Var()] == qbf.Exists {
 						watchesUndefE = true
 						break
 					}
@@ -314,21 +331,21 @@ func (s *Solver) checkWatchInvariants() {
 			dead := false
 			undefU := 0
 			for k := 0; k < n; k++ {
-				l := s.ar.lit(ci, k)
-				if s.litValue(l) == vFalse {
+				l := s.ar.lit(ci, k).lit()
+				if s.truth(l) == vFalse {
 					dead = true
 					break
 				}
-				if s.value[l.Var()] == undef && s.quant[l.Var()] == qbf.Forall {
+				if s.truth(l) == undef && s.quant[l.Var()] == qbf.Forall {
 					undefU++
 				}
 			}
 			if !dead && undefU >= 1 {
 				ok := false
 				for k := 0; k < nw; k++ {
-					w := s.ar.lit(ci, k)
-					if s.litValue(w) == vTrue ||
-						(s.value[w.Var()] == undef && s.quant[w.Var()] == qbf.Forall) {
+					w := s.ar.lit(ci, k).lit()
+					if s.truth(w) == vTrue ||
+						(s.truth(w) == undef && s.quant[w.Var()] == qbf.Forall) {
 						ok = true
 						break
 					}
@@ -353,7 +370,7 @@ func (s *Solver) checkMatrixBookkeeping() {
 		n := s.ar.size(ci)
 		satisfied := false
 		for k := 0; k < n; k++ {
-			if s.litValue(s.ar.lit(ci, k)) == vTrue {
+			if s.truth(s.ar.lit(ci, k).lit()) == vTrue {
 				satisfied = true
 				break
 			}
@@ -363,7 +380,7 @@ func (s *Solver) checkMatrixBookkeeping() {
 		}
 		unsat++
 		for k := 0; k < n; k++ {
-			active[litIdx(s.ar.lit(ci, k))]++
+			active[enc(s.ar.lit(ci, k).lit())]++
 		}
 	}
 	invariant.Check(unsat == s.numUnsatOriginal,
@@ -435,16 +452,18 @@ func (s *Solver) checkAssumptions() {
 	shallowest := make(map[qbf.Lit]int, len(s.assumps))
 	prev := 0
 	for i, a := range s.assumps {
+		l := a.lit.lit()
 		invariant.Check(a.depth >= prev && a.depth <= len(s.frames),
-			"core: assumption %d (literal %d) has depth %d outside [%d,%d]", i, a.lit, a.depth, prev, len(s.frames))
+			"core: assumption %d (literal %d) has depth %d outside [%d,%d]", i, l, a.depth, prev, len(s.frames))
 		prev = a.depth
-		if _, ok := shallowest[a.lit]; !ok {
-			shallowest[a.lit] = a.depth
+		if _, ok := shallowest[l]; !ok {
+			shallowest[l] = a.depth
 		}
-		invariant.Check(s.litValue(a.lit) == vTrue,
-			"core: live assumption %d (depth %d) is not true at a fixpoint", a.lit, a.depth)
+		invariant.Check(s.truth(l) == vTrue,
+			"core: live assumption %d (depth %d) is not true at a fixpoint", l, a.depth)
 	}
-	for i, l := range s.trail {
+	for i, c := range s.trail {
+		l := c.lit()
 		if s.reason[l.Var()] != reasonAssumption {
 			continue
 		}
@@ -465,13 +484,161 @@ func (s *Solver) checkAssumptions() {
 // variable at most once — the invariants Q-resolution must maintain, whose
 // silent violation is exactly the learning-bug class the JAIR 2006
 // soundness analysis warns about.
-func (s *Solver) checkLearnedConstraint(lits []qbf.Lit, isCube bool) {
+func (s *Solver) checkLearnedConstraint(codes []code, isCube bool) {
 	if !s.opt.CheckInvariants || s.dbgPrefix == nil {
 		return
+	}
+	lits := make([]qbf.Lit, len(codes))
+	for i, c := range codes {
+		lits[i] = c.lit()
 	}
 	if isCube {
 		invariant.Must(invariant.CheckCubeReduced(s.dbgPrefix, lits), "core: learned cube")
 	} else {
 		invariant.Must(invariant.CheckClauseReduced(s.dbgPrefix, lits), "core: learned clause")
 	}
+}
+
+// checkRuntimeOrder validates the suffix property that lets Pop cut its
+// frame's clauses off the ends of the lists holding them (retractFrame):
+// runtimeOrig lists exactly the live runtime originals, with frame tags
+// that never decrease; each open frame's clause list is the run of
+// runtimeOrig entries carrying its depth, in the same order; and every
+// occurrence list holds the construction-time originals and then runtime
+// originals in runtimeOrig order. Together these make the deepest frame's
+// clauses the last entries of runtimeOrig and of every occurrence list
+// that holds them.
+func (s *Solver) checkRuntimeOrder() {
+	rank := make(map[int]int, len(s.runtimeOrig)) // ref → index in runtimeOrig
+	prevTag := 0
+	for i, ci := range s.runtimeOrig {
+		invariant.Check(ci >= s.origEnd && ci < s.ar.end() && !s.ar.deleted(ci) && !s.ar.learned(ci),
+			"core: runtimeOrig[%d]=%d is not a live runtime original", i, ci)
+		_, dup := rank[ci]
+		invariant.Check(!dup, "core: runtimeOrig holds clause %d twice", ci)
+		rank[ci] = i
+		tag := s.ar.frame(ci)
+		invariant.Check(tag >= prevTag,
+			"core: runtimeOrig[%d]=%d has frame tag %d after tag %d: the frame suffix property is broken", i, ci, tag, prevTag)
+		prevTag = tag
+	}
+	live := 0
+	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
+		if !s.ar.deleted(ci) && !s.ar.learned(ci) {
+			live++
+		}
+	}
+	invariant.Check(live == len(s.runtimeOrig),
+		"core: %d live runtime originals, but runtimeOrig lists %d", live, len(s.runtimeOrig))
+	start := 0
+	for fi, f := range s.frames {
+		depth := fi + 1
+		for start < len(s.runtimeOrig) && s.ar.frame(s.runtimeOrig[start]) < depth {
+			start++
+		}
+		for j, ci := range f.clauses {
+			invariant.Check(start+j < len(s.runtimeOrig) && s.runtimeOrig[start+j] == ci,
+				"core: frame %d clause %d (ref %d) is not entry %d of runtimeOrig: the frame suffix property is broken", depth, j, ci, start+j)
+		}
+	}
+	for li, occ := range s.occ {
+		prev := -1 // runtimeOrig index of the previous runtime entry
+		for j, ci32 := range occ {
+			ci := int(ci32)
+			if ci < s.origEnd {
+				invariant.Check(prev < 0,
+					"core: occurrence list %d holds base clause %d at %d after a runtime clause: the frame suffix property is broken", li, ci, j)
+				continue
+			}
+			r, ok := rank[ci]
+			invariant.Check(ok, "core: occurrence list %d holds %d, which is not a live original", li, ci)
+			invariant.Check(r > prev,
+				"core: occurrence list %d holds runtime clause %d at %d out of install order: the frame suffix property is broken", li, ci, j)
+			prev = r
+		}
+	}
+}
+
+// checkCoverLists validates the two lists coverCube walks: coverBase holds
+// exactly the construction-time originals that have a literal which is not
+// eReducible, in arena order, and coverRuntime the runtime originals that
+// do, in runtimeOrig order.
+func (s *Solver) checkCoverLists() {
+	hasCoverLit := func(ci int) bool {
+		for k, n := 0, s.ar.size(ci); k < n; k++ {
+			if !s.eReducible[s.ar.lit(ci, k).lit().Var()] {
+				return true
+			}
+		}
+		return false
+	}
+	var want []int32
+	for ci := 0; ci < s.origEnd; ci = s.ar.next(ci) {
+		if hasCoverLit(ci) {
+			want = append(want, int32(ci))
+		}
+	}
+	invariant.Check(slices.Equal(want, s.coverBase),
+		"core: coverBase lists %v, but the coverable base clauses are %v", s.coverBase, want)
+	want = want[:0]
+	for _, ci := range s.runtimeOrig {
+		if hasCoverLit(ci) {
+			want = append(want, int32(ci))
+		}
+	}
+	invariant.Check(slices.Equal(want, s.coverRuntime),
+		"core: coverRuntime lists %v, but the coverable runtime clauses are %v", s.coverRuntime, want)
+}
+
+// checkCover recomputes the cover coverCube just put into the fresh
+// working set w by the full walk: every live original clause, the base in
+// arena order and then runtimeOrig, each scanned for its best true literal
+// by the (class, pure, dlevel) key, and skipped when a true literal of it
+// is eReducible or already chosen. w must hold the same literals, added in
+// the same order.
+func (s *Solver) checkCover(w *workSet) {
+	if !s.opt.CheckInvariants {
+		return
+	}
+	var want []qbf.Lit
+	chosen := make(map[qbf.Lit]bool)
+	walk := func(ci int) {
+		var best qbf.Lit
+		var bestKey [3]int
+		for k, n := 0, s.ar.size(ci); k < n; k++ {
+			l := s.ar.lit(ci, k).lit()
+			if s.truth(l) != vTrue {
+				continue
+			}
+			v := l.Var()
+			if s.eReducible[v] || chosen[l] {
+				return
+			}
+			key := [3]int{0, 0, s.dlevel[v]}
+			if s.quant[v] == qbf.Forall {
+				key[0] = 1
+			}
+			if s.reason[v] == reasonPure {
+				key[1] = 1
+			}
+			if best == qbf.NoLit || slices.Compare(key[:], bestKey[:]) < 0 {
+				best, bestKey = l, key
+			}
+		}
+		invariant.Check(best != qbf.NoLit, "core: original clause %d has no true literal at an empty-matrix solution", ci)
+		want = append(want, best)
+		chosen[best] = true
+	}
+	for ci := 0; ci < s.origEnd; ci = s.ar.next(ci) {
+		walk(ci)
+	}
+	for _, ci := range s.runtimeOrig {
+		walk(ci)
+	}
+	got := make([]qbf.Lit, len(w.vars))
+	for i, v := range w.vars {
+		got[i] = w.get(v).lit()
+	}
+	invariant.Check(slices.Equal(got, want),
+		"core: cover %v differs from the full walk's %v", got, want)
 }

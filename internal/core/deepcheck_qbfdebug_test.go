@@ -4,6 +4,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestDeepCheckCatchesSatStackDisorder(t *testing.T) {
 	// (¬x2 ∨ ¬y3 ∨ ¬x4) at position 1. Each decision is propagated to its
 	// fixpoint, so the stack holds the two clauses tagged 1 and 2.
 	for _, l := range []qbf.Lit{1, -2} {
-		s.decide(l)
+		s.decide(enc(l))
 		if ev, _ := s.propagateAll(); ev != evNone {
 			t.Fatalf("decision %d raised event %d", l, ev)
 		}
@@ -88,8 +89,112 @@ func TestDeepCheckCatchesSatStackDisorder(t *testing.T) {
 
 func TestDeepCheckCatchesPhantomAssignment(t *testing.T) {
 	s := debugSolver(t)
-	s.value[1] = vTrue // assigned but never pushed on the trail
-	wantViolation(t, "", func() { s.deepCheck() })
+	s.val[enc(1)], s.val[enc(-1)] = vTrue, vFalse // assigned but never pushed on the trail
+	wantViolation(t, "not found on the trail", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesValueTableSkew(t *testing.T) {
+	s := debugSolver(t)
+	s.val[enc(-2)] = vFalse // ¬x2 false while x2 reads unassigned
+	wantViolation(t, "neither both unassigned nor complementary", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesValueTableOffTrail(t *testing.T) {
+	s := debugSolver(t)
+	s.decide(enc(1))
+	if ev, _ := s.propagateAll(); ev != evNone {
+		t.Fatalf("decision x1 raised event %d", ev)
+	}
+	s.deepCheck() // healthy
+	// The trail says x1, the table says ¬x1.
+	s.val[enc(1)], s.val[enc(-1)] = vFalse, vTrue
+	wantViolation(t, "trail literal 1 is not true", func() { s.deepCheck() })
+}
+
+// solvedSolver returns debugFormula driven to an empty-matrix solution by
+// the decisions x1, ¬x2, y3, each propagated to its fixpoint, and the ref
+// of the clause (¬x1 ∨ y3 ∨ x4), which only y3 satisfies. Its cover takes
+// x1 from (x1 ∨ x2), y3 from that clause and ¬x2 from (¬x2 ∨ ¬y3 ∨ ¬x4).
+func solvedSolver(t *testing.T) (*Solver, int) {
+	t.Helper()
+	s := debugSolver(t)
+	for _, l := range []qbf.Lit{1, -2, 3} {
+		s.decide(enc(l))
+		ev, _ := s.propagateAll()
+		if want := map[bool]event{false: evNone, true: evSolution}[l == 3]; ev != want {
+			t.Fatalf("decision %d raised event %d, want %d", l, ev, want)
+		}
+	}
+	for ci := 0; ci < s.origEnd; ci = s.ar.next(ci) {
+		if s.ar.size(ci) == 3 && s.ar.sat(ci) == len(s.trail) {
+			return s, ci
+		}
+	}
+	t.Fatal("no clause is satisfied by y3 alone")
+	return nil, 0
+}
+
+func TestDeepCheckCatchesCoverShortcutSkip(t *testing.T) {
+	s, ci := solvedSolver(t)
+	w := s.newWorkSet()
+	s.coverCube(w) // healthy: the full walk agrees
+	got := make([]qbf.Lit, 0, len(w.vars))
+	for _, v := range w.vars {
+		got = append(got, w.get(v).lit())
+	}
+	if want := []qbf.Lit{1, 3, -2}; !slices.Equal(got, want) {
+		t.Fatalf("cover %v, want %v", got, want)
+	}
+	// A tag naming x1, which is not a literal of the clause: once x1 is in
+	// the cover, the shortcut skips the clause and y3 goes missing.
+	s.ar.setSat(ci, 1)
+	wantViolation(t, "differs from the full walk", func() { s.coverCube(s.newWorkSet()) })
+}
+
+func TestDeepCheckCatchesCoverListDrift(t *testing.T) {
+	s := debugSolver(t)
+	s.coverBase = s.coverBase[1:] // the cover would skip the first clause
+	wantViolation(t, "coverBase lists", func() { s.deepCheck() })
+}
+
+// sessionSolver returns debugFormula as an incremental session holding the
+// runtime clause (x1 ∨ x4) at depth 0 and (x1 ∨ ¬x4) in an open frame.
+func sessionSolver(t *testing.T) *Solver {
+	t.Helper()
+	s, err := NewSolver(debugFormula(), Options{Incremental: true, CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClause(mkClause(1, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Push(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddClause(mkClause(1, -4)); err != nil {
+		t.Fatal(err)
+	}
+	if ev, _ := s.propagateAll(); ev != evNone {
+		t.Fatalf("waking the runtime clauses raised event %d", ev)
+	}
+	s.deepCheck() // healthy
+	return s
+}
+
+func TestDeepCheckCatchesFrameSuffixBreak(t *testing.T) {
+	s := sessionSolver(t)
+	// x1's occurrence list ends with the depth-0 clause and then the
+	// frame's; swapped, Pop would cut the wrong clause.
+	occ := s.occ[enc(1)]
+	occ[len(occ)-1], occ[len(occ)-2] = occ[len(occ)-2], occ[len(occ)-1]
+	wantViolation(t, "out of install order", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesRuntimeOrderBreak(t *testing.T) {
+	s := sessionSolver(t)
+	r := s.runtimeOrig
+	r[0], r[1] = r[1], r[0] // the frame's clause before the depth-0 one
+	wantViolation(t, "frame suffix property is broken", func() { s.deepCheck() })
 }
 
 func TestDeepCheckCatchesBlockCorruption(t *testing.T) {
@@ -109,7 +214,7 @@ func TestCheckLearnedCatchesUnreducedClause(t *testing.T) {
 	// {x1, y3} with trailing universal y3 (nothing existential after it):
 	// a clause that universal reduction must never let through.
 	wantViolation(t, "not universally reduced", func() {
-		s.checkLearnedConstraint([]qbf.Lit{1, 3}, false)
+		s.checkLearnedConstraint(codes(1, 3), false)
 	})
 }
 
@@ -118,15 +223,24 @@ func TestCheckLearnedCatchesUnreducedCube(t *testing.T) {
 	// [y3, x4] with trailing existential x4: existential reduction must
 	// have deleted x4 before the cube is learned.
 	wantViolation(t, "not existentially reduced", func() {
-		s.checkLearnedConstraint([]qbf.Lit{3, 4}, true)
+		s.checkLearnedConstraint(codes(3, 4), true)
 	})
 }
 
 func TestCheckLearnedAcceptsReducedConstraints(t *testing.T) {
 	s := debugSolver(t)
-	s.checkLearnedConstraint([]qbf.Lit{1, 2}, false)      // existential-only clause
-	s.checkLearnedConstraint([]qbf.Lit{-1, -3, 4}, false) // y3 guarded by x4
-	s.checkLearnedConstraint([]qbf.Lit{1, 3}, true)       // x1 ≺ y3 guards the cube
+	s.checkLearnedConstraint(codes(1, 2), false)      // existential-only clause
+	s.checkLearnedConstraint(codes(-1, -3, 4), false) // y3 guarded by x4
+	s.checkLearnedConstraint(codes(1, 3), true)       // x1 ≺ y3 guards the cube
+}
+
+// codes encodes DIMACS literals.
+func codes(lits ...qbf.Lit) []code {
+	out := make([]code, len(lits))
+	for i, l := range lits {
+		out[i] = enc(l)
+	}
+	return out
 }
 
 // assumedSolver returns debugFormula as an incremental session with one
@@ -172,7 +286,7 @@ func TestDeepCheckCatchesStaleAssumptionEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A Pop that dropped the assumption but kept its trail entry.
-	s.assign(1, reasonAssumption, -1)
+	s.assign(enc(1), reasonAssumption, -1)
 	if ev, _ := s.propagateAll(); ev != evNone {
 		t.Fatalf("re-asserting x1 raised event %d", ev)
 	}
@@ -190,6 +304,6 @@ func TestDeepCheckCatchesAssumptionBelowMark(t *testing.T) {
 func TestDeepCheckCatchesUnassertedAssumption(t *testing.T) {
 	s := assumedSolver(t)
 	// A live assumption that the fixpoint never asserted.
-	s.assumps = append(s.assumps, assumption{lit: -2, depth: 1})
+	s.assumps = append(s.assumps, assumption{lit: enc(-2), depth: 1})
 	wantViolation(t, "is not true at a fixpoint", func() { s.deepCheck() })
 }

@@ -14,4 +14,6 @@ func (s *Solver) attachInvariantPrefix(p *qbf.Prefix) {}
 
 func (s *Solver) deepCheck() {}
 
-func (s *Solver) checkLearnedConstraint(lits []qbf.Lit, isCube bool) {}
+func (s *Solver) checkLearnedConstraint(lits []code, isCube bool) {}
+
+func (s *Solver) checkCover(w *workSet) {}

@@ -31,24 +31,20 @@ const (
 	restartUnit        = 64
 )
 
-// rawScore returns the decayed activity score of a literal.
-func (s *Solver) rawScore(l qbf.Lit) float64 {
-	return s.score[litIdx(l)]
-}
-
 // assocCounter returns the counter associated with l per Section VI.
-func (s *Solver) assocCounter(l qbf.Lit) int {
-	if s.quant[l.Var()] == qbf.Exists {
-		return s.counter[litIdx(l)]
+func (s *Solver) assocCounter(l code) int {
+	if s.quant[l.v()] == qbf.Exists {
+		return s.counter[l]
 	}
-	return s.counter[litIdx(l.Neg())]
+	return s.counter[l^1]
 }
 
 // bumpConstraint bumps the scores of a freshly learned constraint's
-// literals and advances the decay.
-func (s *Solver) bumpConstraint(lits []qbf.Lit) {
+// literals and advances the decay. score holds the decayed activity of
+// each literal, indexed by code.
+func (s *Solver) bumpConstraint(lits []code) {
 	for _, l := range lits {
-		s.score[litIdx(l)] += s.scoreInc
+		s.score[l] += s.scoreInc
 	}
 	s.scoreInc *= scoreIncGrowth
 	if s.scoreInc > scoreRescaleAt {
@@ -90,10 +86,11 @@ func (s *Solver) rebuildBlockBonus() {
 		s.blockBonus[i] = bonus
 		best := 0.0
 		for _, v := range b.vars {
-			if p := s.rawScore(v.PosLit()); p > best {
+			c := code(v) << 1
+			if p := s.score[c]; p > best {
 				best = p
 			}
-			if n := s.rawScore(v.NegLit()); n > best {
+			if n := s.score[c|1]; n > best {
 				best = n
 			}
 		}
@@ -105,12 +102,9 @@ func (s *Solver) rebuildBlockBonus() {
 // Section VI, and computes the initial block bonuses.
 func (s *Solver) initScores() {
 	s.scoreInc = 1
-	for v := qbf.MinVar; v.Int() <= s.nVars; v++ {
-		for _, l := range [2]qbf.Lit{v.PosLit(), v.NegLit()} {
-			i := litIdx(l)
-			s.lastCounter[i] = s.assocCounter(l)
-			s.score[i] = float64(s.lastCounter[i])
-		}
+	for l := code(2); l < code(2*(s.nVars+1)); l++ {
+		s.lastCounter[l] = s.assocCounter(l)
+		s.score[l] = float64(s.lastCounter[l])
 	}
 	s.rebuildBlockBonus()
 }
@@ -118,14 +112,14 @@ func (s *Solver) initScores() {
 // pickBranch selects the next branching literal among the branchable
 // variables (those whose ≺-predecessors are all assigned), or reports that
 // none remain.
-func (s *Solver) pickBranch() (qbf.Lit, bool) {
+func (s *Solver) pickBranch() (code, bool) {
 	var (
 		found     bool
-		bestLit   qbf.Lit
+		bestLit   code
 		bestLevel int
 		bestScore float64
 	)
-	better := func(level int, score float64, l qbf.Lit) bool {
+	better := func(level int, score float64, l code) bool {
 		if !found {
 			return true
 		}
@@ -144,7 +138,7 @@ func (s *Solver) pickBranch() (qbf.Lit, bool) {
 		if level != bestLevel {
 			return level < bestLevel
 		}
-		return l.Var() < bestLit.Var()
+		return l.v() < bestLit.v()
 	}
 	for bi := range s.blocks {
 		b := &s.blocks[bi]
@@ -152,13 +146,13 @@ func (s *Solver) pickBranch() (qbf.Lit, bool) {
 			continue
 		}
 		for _, v := range b.vars {
-			if s.value[v] != undef {
+			l := code(v) << 1
+			if s.val[l] != undef {
 				continue
 			}
-			l := v.PosLit()
-			sc := s.rawScore(l)
-			if n := s.rawScore(v.NegLit()); n > sc {
-				l, sc = v.NegLit(), n
+			sc := s.score[l]
+			if n := s.score[l|1]; n > sc {
+				l, sc = l|1, n
 			}
 			if s.opt.Mode == ModePartialOrder {
 				sc += s.blockBonus[bi]

@@ -87,14 +87,14 @@ type frame struct {
 	// (cutRoot).
 	mark int
 	// clauses are the arena refs of the original clauses added at this
-	// depth, removed eagerly on Pop.
+	// depth, in install order, removed eagerly on Pop (retractFrame).
 	clauses []int
 }
 
 // assumption is one live root assumption: a ≺-minimal existential literal
 // and the frame depth it was assumed at (0: for the rest of the session).
 type assumption struct {
-	lit   qbf.Lit
+	lit   code
 	depth int
 }
 
@@ -157,9 +157,7 @@ func (s *Solver) Pop() (int, error) {
 	for len(s.assumps) > 0 && s.assumps[len(s.assumps)-1].depth == d {
 		s.assumps = s.assumps[:len(s.assumps)-1]
 	}
-	for _, ci := range f.clauses {
-		s.removeOriginalClause(ci)
-	}
+	s.retractFrame(f.clauses)
 	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
 		if !s.ar.deleted(ci) && s.ar.learned(ci) && s.ar.frame(ci) >= d {
 			s.dropLearned(ci)
@@ -220,10 +218,10 @@ func (s *Solver) AddClause(c qbf.Clause) error {
 		default:
 			return fmt.Errorf("core: AddClause: variables %d and %d span incomparable scopes", deep, v)
 		}
-		if prev := w.get(v); prev != 0 && prev != l {
+		if prev := w.get(uint32(v)); prev != 0 && prev != enc(l) {
 			return nil // tautology: x ∨ ¬x ∨ … is no constraint at all
 		}
-		w.add(l)
+		w.add(enc(l))
 	}
 	// A grown formula can only lose models: a True verdict is stale, a
 	// False one still stands and is kept.
@@ -235,7 +233,7 @@ func (s *Solver) AddClause(c qbf.Clause) error {
 	lits := w.slice()
 	hasE := false
 	for _, l := range lits {
-		if s.quant[l.Var()] == qbf.Exists {
+		if s.quant[l.v()] == qbf.Exists {
 			hasE = true
 			break
 		}
@@ -268,7 +266,7 @@ func (s *Solver) Assume(lits ...qbf.Lit) error {
 	for _, l := range lits {
 		var err error
 		if s.rootLit(l) {
-			err = s.assumeRoot(l)
+			err = s.assumeRoot(enc(l))
 		} else {
 			err = s.AddClause(qbf.Clause{l})
 		}
@@ -295,14 +293,14 @@ func (s *Solver) rootLit(l qbf.Lit) bool {
 // is installed, so no cube is dropped and no frame tag is involved; only a
 // root pure assignment of l's variable is unwound (invalidatePures), since
 // the value purity picked may be the one the assumption excludes.
-func (s *Solver) assumeRoot(l qbf.Lit) error {
+func (s *Solver) assumeRoot(l code) error {
 	if err := s.beginOp(); err != nil {
 		return err
 	}
 	if s.lastResult == True {
 		s.lastResult = Unknown
 	}
-	s.invalidatePures([]qbf.Lit{l})
+	s.invalidatePures([]code{l})
 	s.assumps = append(s.assumps, assumption{lit: l, depth: len(s.frames)})
 	s.emitEv(telemetry.KindFrame, 0, 3, int64(len(s.frames)))
 	return nil
@@ -315,12 +313,12 @@ func (s *Solver) assumeRoot(l qbf.Lit) error {
 // true: nothing below level 1 is unwound while a search runs.
 func (s *Solver) assertAssumptions() bool {
 	for _, a := range s.assumps {
-		switch s.litValue(a.lit) {
+		switch s.val[a.lit] {
 		case vFalse:
 			return false
 		case undef:
 			if s.level != 0 {
-				invariant.Violated("core: root assumption %d unassigned at decision level %d", a.lit, s.level)
+				invariant.Violated("core: root assumption %d unassigned at decision level %d", a.lit.lit(), s.level)
 			}
 			s.assign(a.lit, reasonAssumption, -1)
 		}
@@ -331,29 +329,29 @@ func (s *Solver) assertAssumptions() bool {
 // installRuntimeClause installs a validated, universally reduced clause as
 // a runtime original: into the arena (learned flag off, tagged with its
 // frame depth), the occurrence and heuristic counters, the residual-matrix
-// bookkeeping, the watcher tables, and the wake queue. Only literals the
-// propagation engine has dequeued satisfy the clause here — satWalk takes
-// it out of the matrix when a pending one drains. A clause that an older
-// dequeued root literal already satisfies gets that literal's satisfaction
-// tag and enters satStack at its sorted place, so the unwind that pops the
-// literal returns the clause to the matrix.
-func (s *Solver) installRuntimeClause(lits []qbf.Lit, depth int) int {
+// bookkeeping, the watcher tables, the runtime-original and cover lists,
+// and the wake queue. Only literals the propagation engine has dequeued
+// satisfy the clause here — satWalk takes it out of the matrix when a
+// pending one drains. A clause that an older dequeued root literal already
+// satisfies gets that literal's satisfaction tag and enters satStack at
+// its sorted place, so the unwind that pops the literal returns the clause
+// to the matrix.
+func (s *Solver) installRuntimeClause(lits []code, depth int) int {
 	id := s.ar.alloc(lits, false, false)
 	s.ar.setFrame(id, depth)
 	s.nOriginalClauses++
 	tag := 0
 	for _, l := range lits {
-		li := litIdx(l)
-		s.occ[li] = append(s.occ[li], int32(id))
-		s.counter[li]++
-		if p := s.trailPos[l.Var()]; s.litValue(l) == vTrue && p < s.qhead && (tag == 0 || p+1 < tag) {
+		s.occ[l] = append(s.occ[l], int32(id))
+		s.counter[l]++
+		if p := s.trailPos[l.v()]; s.val[l] == vTrue && p < s.qhead && (tag == 0 || p+1 < tag) {
 			tag = p + 1
 		}
 	}
 	if tag == 0 {
 		s.numUnsatOriginal++
 		for _, l := range lits {
-			s.activeOcc[litIdx(l)]++
+			s.activeOcc[l]++
 		}
 	} else {
 		s.satInsert(id, tag)
@@ -361,6 +359,9 @@ func (s *Solver) installRuntimeClause(lits []qbf.Lit, depth int) int {
 	s.initWatches(id)
 	s.wakeRefs = append(s.wakeRefs, id)
 	s.runtimeOrig = append(s.runtimeOrig, id)
+	if s.coverable(id) {
+		s.coverRuntime = append(s.coverRuntime, int32(id))
+	}
 	if depth > 0 {
 		fr := &s.frames[depth-1]
 		fr.clauses = append(fr.clauses, id)
@@ -368,48 +369,68 @@ func (s *Solver) installRuntimeClause(lits []qbf.Lit, depth int) int {
 	return id
 }
 
-// removeOriginalClause retracts a runtime original: the inverse of
-// installRuntimeClause. Occurrence refs are removed eagerly — satWalk
-// iterates occurrence lists without testing the deleted flag — and so is
-// the clause's satStack entry, which keeps its place in tag order; watcher
-// entries are dropped lazily like any deleted constraint's.
-func (s *Solver) removeOriginalClause(ci int) {
-	n := s.ar.size(ci)
-	if s.ar.sat(ci) != 0 {
-		s.satRemove(ci)
-	} else {
-		// The clause was part of the residual matrix; it leaves it.
-		s.numUnsatOriginal--
-		for k := 0; k < n; k++ {
+// retractFrame retracts the runtime originals of the deepest frame, in
+// install order: the inverse of installRuntimeClause for each. It relies on
+// a suffix property. AddClause installs at the current depth, and depth 0
+// only while no frame is open, so the frame tags along runtimeOrig never
+// decrease, and every occurrence list holds the construction-time
+// originals and then the runtime ones in install order; compaction rebinds
+// refs in place. The deepest frame's clauses are therefore the last
+// entries of runtimeOrig, of coverRuntime, and of every occurrence list
+// that holds them, and each is cut off its end in O(1). The residual-matrix
+// bookkeeping (numUnsatOriginal, activeOcc, pureCand) runs per clause in
+// install order. satStack loses the tagged ones in one pass that keeps the
+// others in order. Watcher entries are dropped lazily like any deleted
+// constraint's.
+func (s *Solver) retractFrame(cls []int) {
+	tagged := false
+	for _, ci := range cls {
+		n := s.ar.size(ci)
+		if s.ar.sat(ci) != 0 {
+			tagged = true
+		} else {
+			// The clause was part of the residual matrix; it leaves it.
+			s.numUnsatOriginal--
+			for k := 0; k < n; k++ {
+				m := s.ar.lit(ci, k)
+				s.activeOcc[m]--
+				if s.activeOcc[m] == 0 && s.val[m] == undef {
+					s.pureCand = append(s.pureCand, m.v())
+				}
+			}
+		}
+		s.ar.del(ci)
+	}
+	// Cut the suffixes, last clause first: each occurrence list ends with
+	// the refs of the frame's clauses that contain its literal.
+	for i := len(cls) - 1; i >= 0; i-- {
+		ci := cls[i]
+		for k, n := 0, s.ar.size(ci); k < n; k++ {
 			m := s.ar.lit(ci, k)
-			mi := litIdx(m)
-			s.activeOcc[mi]--
-			if s.activeOcc[mi] == 0 && s.value[m.Var()] == undef {
-				s.pureCand = append(s.pureCand, m.Var())
+			s.counter[m]--
+			occ := s.occ[m]
+			if len(occ) == 0 || int(occ[len(occ)-1]) != ci {
+				invariant.Violated("core: Pop: clause %d is not at the end of an occurrence list of its literal %d", ci, m.lit())
+			}
+			s.occ[m] = occ[:len(occ)-1]
+		}
+	}
+	s.runtimeOrig = s.runtimeOrig[:len(s.runtimeOrig)-len(cls)]
+	n := len(s.coverRuntime)
+	for n > 0 && s.ar.deleted(int(s.coverRuntime[n-1])) {
+		n--
+	}
+	s.coverRuntime = s.coverRuntime[:n]
+	s.nOriginalClauses -= len(cls)
+	if tagged {
+		live := s.satStack[:0]
+		for _, ci := range s.satStack {
+			if !s.ar.deleted(int(ci)) {
+				live = append(live, ci)
 			}
 		}
+		s.satStack = live
 	}
-	for k := 0; k < n; k++ {
-		li := litIdx(s.ar.lit(ci, k))
-		s.counter[li]--
-		occ := s.occ[li]
-		for j, c := range occ {
-			if int(c) == ci {
-				occ[j] = occ[len(occ)-1]
-				s.occ[li] = occ[:len(occ)-1]
-				break
-			}
-		}
-	}
-	for j, c := range s.runtimeOrig {
-		if c == ci {
-			s.runtimeOrig[j] = s.runtimeOrig[len(s.runtimeOrig)-1]
-			s.runtimeOrig = s.runtimeOrig[:len(s.runtimeOrig)-1]
-			break
-		}
-	}
-	s.nOriginalClauses--
-	s.ar.del(ci)
 }
 
 // invalidatePures unwinds every root-level pure assignment whose variable
@@ -426,11 +447,11 @@ func (s *Solver) removeOriginalClause(ci int) {
 // against the updated occurrence sets at the next fixpoint). Pure
 // assignments of variables the clause does not mention keep their
 // justification and stay unless the cut falls below them.
-func (s *Solver) invalidatePures(lits []qbf.Lit) {
+func (s *Solver) invalidatePures(lits []code) {
 	cut := len(s.trail)
 	for _, l := range lits {
-		v := l.Var()
-		if s.value[v] != undef && s.dlevel[v] == 0 && s.reason[v] == reasonPure {
+		v := l.v()
+		if s.val[l] != undef && s.dlevel[v] == 0 && s.reason[v] == reasonPure {
 			if p := s.trailPos[v]; p < cut {
 				cut = p
 			}
@@ -462,7 +483,7 @@ func (s *Solver) dropAllCubes() {
 	}
 	cut := len(s.trail)
 	for i := 0; i < len(s.trail); i++ {
-		v := s.trail[i].Var()
+		v := s.trail[i].v()
 		if s.reason[v] == reasonConstraint && s.ar.isCube(s.reasonC[v]) {
 			cut = i
 			break

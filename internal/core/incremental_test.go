@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/lineartest"
 	"repro/internal/qbf"
 )
 
@@ -918,4 +919,41 @@ func TestIncrementalRootCutKeepsWatches(t *testing.T) {
 	step(False, push, assume(2)) // learns (¬1 ∨ ¬2)
 	step(True, pop, assume(1))   // ¬2 and the cube's ¬3 at level 0
 	step(False, func() error { return s.AddClause(mkClause(-5)) })
+}
+
+// TestPopLinearFrame pushes a frame, adds 200k clauses (x1 ∨ xi) to it and
+// pops it. Every clause sits in x1's occurrence list, so a Pop that
+// searched the list for each clause it retracts would take minutes.
+func TestPopLinearFrame(t *testing.T) {
+	const n = 200_000
+	vars := make([]qbf.Var, n+1)
+	for i := range vars {
+		vars[i] = qbf.VarOf(i + 1)
+	}
+	p := qbf.NewPrenexPrefix(n+1, qbf.Run{Quant: qbf.Exists, Vars: vars})
+	s, err := NewSolver(qbf.New(p, []qbf.Clause{mkClause(1, 2)}), Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineartest.Within(t, "Push, 200k AddClause and Pop", func() {
+		if _, err = s.Push(); err != nil {
+			return
+		}
+		for _, v := range vars[1:] {
+			if err = s.AddClause(qbf.Clause{1, v.PosLit()}); err != nil {
+				return
+			}
+		}
+		_, err = s.Pop()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.occ[enc(1)]); got != 1 || len(s.runtimeOrig) != 0 || s.nOriginalClauses != 1 {
+		t.Fatalf("after Pop: x1 occurs in %d clauses, %d runtime originals, %d originals; want 1, 0, 1",
+			got, len(s.runtimeOrig), s.nOriginalClauses)
+	}
+	if v := s.Solve(context.Background()); v != True {
+		t.Fatalf("after Pop: %v, want TRUE", v)
+	}
 }

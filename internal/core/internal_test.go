@@ -36,12 +36,18 @@ func TestQuickMedian(t *testing.T) {
 	}
 }
 
+// TestLitIdx pins the literal code: 2v for +v, 2v+1 for ¬v, the
+// complement one bit away, and a lossless round trip through enc and lit.
 func TestLitIdx(t *testing.T) {
-	if litIdx(qbf.Lit(3)) != 6 || litIdx(qbf.Lit(-3)) != 7 {
-		t.Error("litIdx mapping broken")
+	if enc(3) != 6 || enc(-3) != 7 {
+		t.Error("literal code mapping broken")
 	}
-	if litIdx(qbf.Lit(1)) == litIdx(qbf.Lit(-1)) {
-		t.Error("polarities must map to distinct indices")
+	for _, n := range []int{1, -1, 2, -2, 1 << 26, -(1 << 26), 1<<31 - 1, -(1<<31 - 1)} {
+		l := qbf.LitOf(n)
+		c := enc(l)
+		if c.lit() != l || c^1 != enc(l.Neg()) || c.v() != uint32(l.Var()) {
+			t.Errorf("literal %d: code %d decodes to %d, complement %d, variable %d", l, c, c.lit(), c^1, c.v())
+		}
 	}
 }
 

@@ -68,10 +68,9 @@ func (s *Solver) clauseSatisfied(ci int) {
 	s.numUnsatOriginal--
 	for k, n := 0, s.ar.size(ci); k < n; k++ {
 		m := s.ar.lit(ci, k)
-		mi := litIdx(m)
-		s.activeOcc[mi]--
-		if s.activeOcc[mi] == 0 && s.value[m.Var()] == undef {
-			s.pureCand = append(s.pureCand, m.Var())
+		s.activeOcc[m]--
+		if s.activeOcc[m] == 0 && s.val[m] == undef {
+			s.pureCand = append(s.pureCand, m.v())
 		}
 	}
 }
@@ -82,7 +81,7 @@ func (s *Solver) clauseSatisfied(ci int) {
 func (s *Solver) clauseUnsatisfied(ci int) {
 	s.numUnsatOriginal++
 	for k, n := 0, s.ar.size(ci); k < n; k++ {
-		s.activeOcc[litIdx(s.ar.lit(ci, k))]++
+		s.activeOcc[s.ar.lit(ci, k)]++
 	}
 }
 
@@ -98,15 +97,15 @@ func (s *Solver) clauseUnsatisfied(ci int) {
 //qbf:hotpath
 func (s *Solver) scanState(ci int) (event, int) {
 	n := s.ar.size(ci)
-	var e qbf.Lit
+	var e code
 	undefE := 0
 	for k := 0; k < n; k++ {
 		m := s.ar.lit(ci, k)
-		switch s.litValue(m) {
+		switch s.val[m] {
 		case vTrue:
 			return evNone, -1
 		case undef:
-			if s.quant[m.Var()] == qbf.Exists {
+			if s.quant[m.v()] == qbf.Exists {
 				undefE++
 				if undefE > 1 {
 					return evNone, -1
@@ -124,7 +123,7 @@ func (s *Solver) scanState(ci int) (event, int) {
 	// universal m of the clause has m ≺ e.
 	for k := 0; k < n; k++ {
 		m := s.ar.lit(ci, k)
-		if m != e && s.value[m.Var()] == undef && s.before(m.Var(), e.Var()) {
+		if m != e && s.val[m] == undef && s.before(m.v(), e.v()) {
 			return evNone, -1
 		}
 	}
@@ -153,20 +152,21 @@ func (s *Solver) fixPures() bool {
 	for len(s.pureCand) > 0 {
 		v := s.pureCand[len(s.pureCand)-1]
 		s.pureCand = s.pureCand[:len(s.pureCand)-1]
-		if s.value[v] != undef {
+		p := code(v) << 1 // v's positive literal; p|1 is the negative one
+		if s.val[p] != undef {
 			continue
 		}
-		pos, neg := s.activeOcc[litIdx(v.PosLit())], s.activeOcc[litIdx(v.NegLit())]
-		var l qbf.Lit
+		pos, neg := s.activeOcc[p], s.activeOcc[p|1]
+		var l code
 		switch {
 		case s.quant[v] == qbf.Exists && neg == 0:
-			l = v.PosLit()
+			l = p
 		case s.quant[v] == qbf.Exists && pos == 0:
-			l = v.NegLit()
+			l = p | 1
 		case s.quant[v] == qbf.Forall && pos == 0:
-			l = v.PosLit()
+			l = p
 		case s.quant[v] == qbf.Forall && neg == 0:
-			l = v.NegLit()
+			l = p | 1
 		default:
 			continue
 		}
@@ -184,13 +184,13 @@ func (s *Solver) fixPures() bool {
 // shrinks the matrix, so every pop preserves it — see incremental.go for
 // why AddClause, not Pop, invalidates cubes). The caller must ensure the
 // propagation queue is drained (qhead == len(trail)).
-func (s *Solver) addLearned(lits []qbf.Lit, isCube bool, frame int) int {
+func (s *Solver) addLearned(lits []code, isCube bool, frame int) int {
 	s.checkLearnedConstraint(lits, isCube)
 	id := s.ar.alloc(lits, isCube, true)
 	s.ar.setFrame(id, frame)
 	s.initWatches(id)
 	for _, l := range lits {
-		s.counter[litIdx(l)]++
+		s.counter[l]++
 	}
 	s.learnedBytes += constraintBytes(len(lits))
 	if s.learnedBytes > s.stats.PeakLearnedBytes {
@@ -207,7 +207,11 @@ func (s *Solver) addLearned(lits []qbf.Lit, isCube bool, frame int) int {
 	}
 	s.emitLitsEv(telemetry.KindLearn, lits, kind)
 	if s.learnHook != nil {
-		s.learnHook(lits, isCube)
+		out := make([]qbf.Lit, len(lits))
+		for i, l := range lits {
+			out[i] = l.lit()
+		}
+		s.learnHook(out, isCube)
 	}
 	return id
 }
@@ -236,7 +240,7 @@ func (s *Solver) reduceDB(isCube bool) {
 func (s *Solver) reduceDBNow(isCube bool) {
 	locked := make(map[int]bool)
 	for _, l := range s.trail {
-		v := l.Var()
+		v := l.v()
 		if s.reason[v] == reasonConstraint {
 			locked[s.reasonC[v]] = true
 		}
@@ -277,7 +281,7 @@ func (s *Solver) reduceDBNow(isCube bool) {
 func (s *Solver) dropLearned(ci int) {
 	n := s.ar.size(ci)
 	for k := 0; k < n; k++ {
-		s.counter[litIdx(s.ar.lit(ci, k))]--
+		s.counter[s.ar.lit(ci, k)]--
 	}
 	s.learnedBytes -= constraintBytes(n)
 	s.ar.del(ci)
@@ -352,7 +356,7 @@ func (s *Solver) compactLearned() {
 		rb(s.watchCl)
 		rb(s.watchCu)
 		for _, l := range s.trail {
-			v := l.Var()
+			v := l.v()
 			if s.reason[v] == reasonConstraint {
 				s.reasonC[v] = int(rebind(int32(s.reasonC[v]), olds, news))
 			}
@@ -362,8 +366,9 @@ func (s *Solver) compactLearned() {
 		}
 		// Frame clause lists hold only live refs: frame originals are
 		// deleted exclusively by the Pop that discards their list. The
-		// runtime-original list is likewise all-live (removeOriginalClause
-		// drops entries eagerly).
+		// runtime-original lists are likewise all-live (retractFrame cuts
+		// them eagerly). Rebinding in place keeps every list's order, so
+		// the suffix property retractFrame relies on survives.
 		for fi := range s.frames {
 			cl := s.frames[fi].clauses
 			for j := range cl {
@@ -373,9 +378,12 @@ func (s *Solver) compactLearned() {
 		for i := range s.runtimeOrig {
 			s.runtimeOrig[i] = int(rebind(int32(s.runtimeOrig[i]), olds, news))
 		}
-		// satStack holds live originals only (removeOriginalClause drops
-		// entries eagerly), and compaction keeps their tags, so the stack
-		// stays sorted.
+		for i := range s.coverRuntime {
+			s.coverRuntime[i] = rebind(s.coverRuntime[i], olds, news)
+		}
+		// satStack holds live originals only (retractFrame drops entries
+		// eagerly), and compaction keeps their tags, so the stack stays
+		// sorted.
 		for i := range s.satStack {
 			s.satStack[i] = rebind(s.satStack[i], olds, news)
 		}

@@ -36,10 +36,10 @@ func BenchmarkPropagate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, d := range decisions {
-			if s.value[d.Var()] != undef {
+			if s.val[enc(d)] != undef {
 				continue
 			}
-			s.decide(d)
+			s.decide(enc(d))
 			if ev, _ := s.propagateAll(); ev == evConflict {
 				break
 			}

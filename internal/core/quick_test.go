@@ -108,16 +108,16 @@ func TestQuickWorkSet(t *testing.T) {
 			if n < 0 {
 				n = -n
 			}
-			v := qbf.Var(n%20 + 1)
+			v := qbf.VarOf(n%20 + 1)
 			switch {
 			case op%3 == 0: // add positive
-				w.add(v.PosLit())
+				w.add(enc(v.PosLit()))
 				ref[v] = v.PosLit()
 			case op%3 == 1: // add negative (overwrites)
-				w.add(v.NegLit())
+				w.add(enc(v.NegLit()))
 				ref[v] = v.NegLit()
 			default: // delete
-				w.del(v)
+				w.del(uint32(v))
 				delete(ref, v)
 			}
 		}
@@ -125,12 +125,12 @@ func TestQuickWorkSet(t *testing.T) {
 			return false
 		}
 		for v, l := range ref {
-			if !w.has(v) || w.get(v) != l {
+			if !w.has(uint32(v)) || w.get(uint32(v)) != enc(l) {
 				return false
 			}
 		}
-		for _, l := range w.slice() {
-			if ref[l.Var()] != l {
+		for _, c := range w.slice() {
+			if l := c.lit(); ref[l.Var()] != l {
 				return false
 			}
 		}

@@ -11,18 +11,18 @@ import (
 // refSet is the reference working set: a member list whose deletion finds
 // the member by a linear scan and swaps the last member into the gap.
 type refSet struct {
-	lit  []qbf.Lit // indexed by variable; 0 = absent
-	vars []qbf.Var
+	lit  []code // indexed by variable; 0 = absent
+	vars []uint32
 }
 
-func (r *refSet) add(l qbf.Lit) {
-	if r.lit[l.Var()] == 0 {
-		r.vars = append(r.vars, l.Var())
+func (r *refSet) add(l code) {
+	if r.lit[l.v()] == 0 {
+		r.vars = append(r.vars, l.v())
 	}
-	r.lit[l.Var()] = l
+	r.lit[l.v()] = l
 }
 
-func (r *refSet) del(v qbf.Var) {
+func (r *refSet) del(v uint32) {
 	if r.lit[v] == 0 {
 		return
 	}
@@ -37,8 +37,8 @@ func (r *refSet) del(v qbf.Var) {
 // not keep survives only if some keep member x of the set has v ≺ x.
 // Dropped members are deleted in r.vars order. It returns the dropped
 // variables.
-func pairwiseReduce(s *Solver, r *refSet, keep qbf.Quant) []qbf.Var {
-	var drop []qbf.Var
+func pairwiseReduce(s *Solver, r *refSet, keep qbf.Quant) []uint32 {
+	var drop []uint32
 	for _, v := range r.vars {
 		if s.quant[v] == keep {
 			continue
@@ -142,7 +142,7 @@ func TestReduceSetMatchesPairwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := refSet{lit: make([]qbf.Lit, nVars+1)}
+				ref := refSet{lit: make([]code, nVars+1)}
 				w := s.newWorkSet()
 				for round := 0; round < 40; round++ {
 					if round%8 == 0 {
@@ -157,7 +157,7 @@ func TestReduceSetMatchesPairwise(t *testing.T) {
 						if rng.Intn(2) == 0 {
 							n = -n
 						}
-						l := qbf.LitOf(n)
+						l := enc(qbf.LitOf(n))
 						w.add(l)
 						ref.add(l)
 					}

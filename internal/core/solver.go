@@ -10,7 +10,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// value of a variable on the trail.
+// value of a literal on the trail (the entries of Solver.val).
 const (
 	undef int8 = iota
 	vTrue
@@ -69,6 +69,12 @@ type Solver struct {
 	// block below it in the quantifier tree: existential reduction always
 	// deletes such literals from cubes, so cover construction skips them.
 	eReducible []bool
+	// coverBase lists, in arena order, the construction-time original
+	// clauses that have a literal which is not eReducible: the only ones
+	// coverCube can take a literal from. coverRuntime is its counterpart
+	// for the runtime originals, in runtimeOrig order.
+	coverBase    []int32
+	coverRuntime []int32
 
 	// ar holds every constraint: originals first (their refs are stable,
 	// the region [0, origEnd) never moves), then learned, compacted in
@@ -79,12 +85,12 @@ type Solver struct {
 	learnedClauses   int
 	learnedCubes     int
 
-	// occ: literal index → refs of the original clauses containing that
+	// occ: literal code → refs of the original clauses containing that
 	// literal (satWalk's residual-matrix walk on every dequeued literal);
 	// learned constraints are reached through the watcher lists instead.
 	// Under Options.Incremental, clauses added at runtime join these lists
-	// on AddClause and are eagerly removed again when their frame pops —
-	// satWalk does not test the deleted flag.
+	// on AddClause and are cut off their ends again when their frame pops
+	// (retractFrame) — satWalk does not test the deleted flag.
 	occ [][]int32
 
 	// satStack holds the refs of the original clauses that have left the
@@ -108,18 +114,22 @@ type Solver struct {
 	// literal; 0 means the matrix is empty (Section II base case: true).
 	numUnsatOriginal int
 
-	value    []int8
+	// val is the value table, indexed by literal code: val[c] is vTrue,
+	// vFalse or undef, and val[c^1] is its complement. assign and
+	// unwindTrail write both entries of a variable together; nothing else
+	// writes them.
+	val      []int8
 	dlevel   []int
 	reason   []reasonKind
 	reasonC  []int
 	trailPos []int
 
-	trail      []qbf.Lit
+	trail      []code
 	qhead      int
 	level      int
 	levelStart []int // levelStart[k] = trail index where level k starts
 
-	pureCand []qbf.Var
+	pureCand []uint32 // variables
 
 	// Heuristic state (see heuristic.go).
 	counter     []int // per literal: occurrences in active constraints
@@ -187,14 +197,36 @@ type Solver struct {
 	faultHook func(fixpoint int64)
 }
 
-// litIdx maps a literal to a dense index: positive 2v, negative 2v+1.
-func litIdx(l qbf.Lit) int {
-	v := int(l.Var())
-	if l > 0 {
-		return 2 * v
+// code is the solver's literal: 2v (code(v)<<1) for the positive literal
+// of variable v, 2v+1 for its negation. Everything inside the solver — the
+// arena, the watcher blockers, the trail, the working sets — holds codes,
+// so a literal's complement is c^1, its variable c>>1, per-literal arrays
+// are indexed by the code itself and per-variable arrays by c>>1, with no
+// sign to branch on. Variables start at 1, so the code 0 is no literal.
+// qbf.Lit crosses into the solver through enc and out of it through
+// code.lit, at the API (NewSolver, AddClause, Assume, Witness, the learn
+// hook, telemetry payloads) and in cold code.
+type code uint32
+
+// enc is the code of l.
+func enc(l qbf.Lit) code {
+	if l < 0 {
+		return code(-l)<<1 | 1
 	}
-	return 2*v + 1
+	return code(l) << 1
 }
+
+// lit is the qbf.Lit c encodes.
+func (c code) lit() qbf.Lit {
+	l := qbf.LitOf(int(c >> 1))
+	if c&1 != 0 {
+		return l.Neg()
+	}
+	return l
+}
+
+// v is c's variable.
+func (c code) v() uint32 { return uint32(c >> 1) }
 
 // NewSolver prepares a solver for q. The input is not modified: free
 // variables are bound existentially in a clone of the prefix, and the
@@ -237,7 +269,7 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		plevel:      make([]int, n+1),
 		blockOf:     make([]int, n+1),
 		activeOcc:   make([]int, 2*(n+1)),
-		value:       make([]int8, n+1),
+		val:         make([]int8, 2*(n+1)),
 		dlevel:      make([]int, n+1),
 		reason:      make([]reasonKind, n+1),
 		reasonC:     make([]int, n+1),
@@ -374,10 +406,10 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 
 	// All bound variables start as pure-literal candidates; fixPures
 	// verifies. Ghost variables never enter the queue.
-	s.pureCand = make([]qbf.Var, 0, n)
-	for v := qbf.MinVar; v.Int() <= n; v++ {
+	s.pureCand = make([]uint32, 0, n)
+	for v := 1; v <= n; v++ {
 		if s.blockOf[v] >= 0 {
-			s.pureCand = append(s.pureCand, v)
+			s.pureCand = append(s.pureCand, uint32(v))
 		}
 	}
 	s.deepCheck()
@@ -431,39 +463,64 @@ func (s *Solver) reduceOriginal(c qbf.Clause) qbf.Clause {
 }
 
 // installOriginals installs the construction-time original clauses, in
-// order. The arena, the occurrence lists and the clause watch lists are
-// sized from counts first, one slab per structure: each list is a 3-index
-// slice of its slab, so a later append (a runtime clause, a moved watch)
-// reallocates only that list.
+// order. The arena, the occurrence lists, the clause watch lists and the
+// cover list are sized from counts first, one slab per structure: each list
+// is a 3-index slice of its slab, so a later append (a runtime clause, a
+// moved watch) reallocates only that list.
 func (s *Solver) installOriginals(cs []qbf.Clause) {
-	words := 0
+	words, longest := 0, 0
 	for _, c := range cs {
 		words += hdrWords + len(c)
+		longest = max(longest, len(c))
 		for _, l := range c {
-			s.counter[litIdx(l)]++
+			s.counter[enc(l)]++
 		}
 	}
 	copy(s.activeOcc, s.counter)
 	s.occ = carve[int32](s.counter)
 	s.ar.d = make([]uint32, 0, words)
 	watched := make([]int, len(s.counter))
+	buf := make([]code, 0, longest)
+	coverable := 0
 	for _, c := range cs {
-		ci := s.ar.alloc(c, false, false)
+		buf = buf[:0]
+		for _, l := range c {
+			buf = append(buf, enc(l))
+		}
+		ci := s.ar.alloc(buf, false, false)
+		if s.coverable(ci) {
+			coverable++
+		}
 		s.placeWatches(ci)
-		watched[litIdx(s.ar.lit(ci, 0))^1]++
+		watched[s.ar.lit(ci, 0)^1]++
 		if len(c) > 1 {
-			watched[litIdx(s.ar.lit(ci, 1))^1]++
+			watched[s.ar.lit(ci, 1)^1]++
 		}
 	}
 	s.watchCl = carve[watcher](watched)
+	s.coverBase = make([]int32, 0, coverable)
 	for ci := 0; ci < s.ar.end(); ci = s.ar.next(ci) {
 		for k := 0; k < s.ar.size(ci); k++ {
-			li := litIdx(s.ar.lit(ci, k))
+			li := s.ar.lit(ci, k)
 			s.occ[li] = append(s.occ[li], int32(ci))
 		}
 		s.attachWatches(ci)
+		if s.coverable(ci) {
+			s.coverBase = append(s.coverBase, int32(ci))
+		}
 	}
 	s.nOriginalClauses = len(cs)
+}
+
+// coverable reports whether the original clause ci has a literal that is
+// not eReducible, i.e. whether coverCube can take a literal from it.
+func (s *Solver) coverable(ci int) bool {
+	for k, n := 0, s.ar.size(ci); k < n; k++ {
+		if !s.eReducible[s.ar.lit(ci, k).v()] {
+			return true
+		}
+	}
+	return false
 }
 
 // carve returns one empty list per count, all cut from one slab: list k
@@ -677,29 +734,25 @@ func (s *Solver) solve() Verdict {
 }
 
 // decide opens a new decision level with literal l.
-func (s *Solver) decide(l qbf.Lit) {
+func (s *Solver) decide(l code) {
 	s.level++
 	if s.level > s.stats.MaxDecisionLevel {
 		s.stats.MaxDecisionLevel = s.level
 	}
 	s.levelStart = append(s.levelStart, len(s.trail))
 	s.assign(l, reasonDecision, -1)
-	s.emitEv(telemetry.KindDecision, s.plevel[l.Var()], int64(l), s.stats.Decisions)
+	s.emitEv(telemetry.KindDecision, s.plevel[l.v()], int64(l.lit()), s.stats.Decisions)
 }
 
 // assign makes l true at the current decision level. It only records the
 // assignment; the residual matrix and the watches are updated when the
 // literal is dequeued by propagateAll.
-func (s *Solver) assign(l qbf.Lit, why reasonKind, reasonCon int) {
-	v := l.Var()
-	if s.value[v] != undef {
+func (s *Solver) assign(l code, why reasonKind, reasonCon int) {
+	v := l.v()
+	if s.val[l] != undef {
 		invariant.Violated("core: double assignment of variable %d", v)
 	}
-	if l > 0 {
-		s.value[v] = vTrue
-	} else {
-		s.value[v] = vFalse
-	}
+	s.val[l], s.val[l^1] = vTrue, vFalse
 	s.dlevel[v] = s.level
 	s.reason[v] = why
 	s.reasonC[v] = reasonCon
@@ -725,22 +778,10 @@ func (s *Solver) shiftGuardOpen(b, delta int) {
 	}
 }
 
-// litValue returns the current value of literal l.
-func (s *Solver) litValue(l qbf.Lit) int8 {
-	v := s.value[l.Var()]
-	if v == undef {
-		return undef
-	}
-	if (v == vTrue) == (l > 0) {
-		return vTrue
-	}
-	return vFalse
-}
-
-// before is the O(1) ≺ test: z's block is a structural ancestor of z”s
-// with a strictly smaller prefix level. On alternating trees this is
-// exactly the parenthesis-theorem test of Section VI, eq. 13.
-func (s *Solver) before(z, zp qbf.Var) bool {
+// before is the O(1) ≺ test on variables: z's block is a structural
+// ancestor of z”s with a strictly smaller prefix level. On alternating
+// trees this is exactly the parenthesis-theorem test of Section VI, eq. 13.
+func (s *Solver) before(z, zp uint32) bool {
 	return s.sd[z] <= s.sd[zp] && s.sf[zp] <= s.sf[z] && s.plevel[z] < s.plevel[zp]
 }
 
@@ -764,13 +805,13 @@ func (s *Solver) unwindTrail(end int) {
 	s.unsatisfyFrom(end)
 	for i := len(s.trail) - 1; i >= end; i-- {
 		l := s.trail[i]
-		v := l.Var()
+		v := l.v()
 		if s.reason[v] == reasonPure {
 			// The variable may still be pure at the outer level;
 			// re-candidate it so fixPures reconsiders it.
 			s.pureCand = append(s.pureCand, v)
 		}
-		s.value[v] = undef
+		s.val[l], s.val[l^1] = undef, undef
 		s.reason[v] = reasonNone
 		s.reasonC[v] = -1
 		b := s.blockOf[v]

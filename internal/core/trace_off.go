@@ -2,10 +2,7 @@
 
 package core
 
-import (
-	"repro/internal/qbf"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // qbfnotrace strips the telemetry emit helpers to empty bodies the
 // compiler erases, giving scripts/check.sh a no-hook baseline to measure
@@ -16,4 +13,4 @@ func (s *Solver) emitEv(telemetry.Kind, int, int64, int64) {}
 
 func (s *Solver) emitConstraintEv(telemetry.Kind, int) {}
 
-func (s *Solver) emitLitsEv(telemetry.Kind, []qbf.Lit, int64) {}
+func (s *Solver) emitLitsEv(telemetry.Kind, []code, int64) {}

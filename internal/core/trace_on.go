@@ -2,10 +2,7 @@
 
 package core
 
-import (
-	"repro/internal/qbf"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // This file is the default (hooks-compiled-in) half of the telemetry
 // split; trace_off.go is the qbfnotrace mirror with empty bodies. The
@@ -37,7 +34,7 @@ func (s *Solver) emitConstraintEv(k telemetry.Kind, ci int) {
 		size = int64(n)
 		d := 0
 		for j := 0; j < n; j++ {
-			if p := s.plevel[s.ar.lit(ci, j).Var()]; p > d {
+			if p := s.plevel[s.ar.lit(ci, j).v()]; p > d {
 				d = p
 			}
 		}
@@ -49,7 +46,7 @@ func (s *Solver) emitConstraintEv(k telemetry.Kind, ci int) {
 // emitLitsEv records an event about a literal set not (yet) installed as
 // a constraint — a freshly learned one. b carries the
 // per-kind payload (0 clause / 1 cube).
-func (s *Solver) emitLitsEv(k telemetry.Kind, lits []qbf.Lit, b int64) {
+func (s *Solver) emitLitsEv(k telemetry.Kind, lits []code, b int64) {
 	t := s.opt.Telemetry
 	if t == nil {
 		return
@@ -57,10 +54,10 @@ func (s *Solver) emitLitsEv(k telemetry.Kind, lits []qbf.Lit, b int64) {
 	t.Emit(k, s.level, int(s.litsDepth(lits)), int64(len(lits)), b)
 }
 
-func (s *Solver) litsDepth(lits []qbf.Lit) int64 {
+func (s *Solver) litsDepth(lits []code) int64 {
 	depth := 0
 	for _, l := range lits {
-		if p := s.plevel[l.Var()]; p > depth {
+		if p := s.plevel[l.v()]; p > depth {
 			depth = p
 		}
 	}

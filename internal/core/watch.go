@@ -33,12 +33,13 @@ import (
 // Watched literals sit at positions 0 and 1 of the constraint's literal
 // array in the arena (position 0 only for unit-size constraints), so moving
 // a watch is two word swaps and no auxiliary index. Watcher lists are keyed
-// by the assigned literal that triggers the visit: a clause watching w lives
-// in watchCl[litIdx(w.Neg())] (visited when w is falsified), a cube watching
-// w in watchCu[litIdx(w)] (visited when w is satisfied). Each entry carries
-// a blocker literal — some other literal of the same constraint — whose
-// satisfaction (clause) or falsification (cube) proves the constraint
-// dormant without touching the arena, the classic MiniSat cache-miss dodge.
+// by the code of the assigned literal that triggers the visit: a clause
+// watching w lives in watchCl[w^1] (visited when w is falsified, i.e. when
+// w̄ is assigned), a cube watching w in watchCu[w] (visited when w is
+// satisfied). Each entry carries a blocker literal — some other literal of
+// the same constraint — whose satisfaction (clause) or falsification (cube)
+// proves the constraint dormant without touching the arena, the classic
+// MiniSat cache-miss dodge; its value is one load from the value table.
 //
 // Every event a watcher visit reports is verified by a full scan of the
 // constraint against the actual variable values, so a stale watch can defer
@@ -62,7 +63,7 @@ import (
 // watcher is one watch-list entry: the constraint ref and the blocker.
 type watcher struct {
 	c       int32
-	blocker int32
+	blocker code
 }
 
 // propagateWatched runs the watcher engine to fixpoint: per dequeued
@@ -96,9 +97,9 @@ func (s *Solver) propagateWatched() (event, int) {
 // unsatisfyFrom is the backtracking inverse.
 //
 //qbf:hotpath
-func (s *Solver) satWalk(l qbf.Lit) bool {
-	tag := 1 + s.trailPos[l.Var()]
-	for _, ci32 := range s.occ[litIdx(l)] {
+func (s *Solver) satWalk(l code) bool {
+	tag := 1 + s.trailPos[l.v()]
+	for _, ci32 := range s.occ[l] {
 		ci := int(ci32)
 		if s.ar.sat(ci) == 0 {
 			s.ar.setSat(ci, tag)
@@ -139,16 +140,6 @@ func (s *Solver) satInsert(ci, tag int) {
 	s.satStack = slices.Insert(s.satStack, s.satSearch(tag+1), int32(ci))
 }
 
-// satRemove deletes the tagged original clause ci from satStack, keeping
-// the order of the others.
-func (s *Solver) satRemove(ci int) {
-	i := s.satSearch(s.ar.sat(ci))
-	for s.satStack[i] != int32(ci) { // ci is present: an index panic here is a bookkeeping bug
-		i++
-	}
-	s.satStack = slices.Delete(s.satStack, i, i+1)
-}
-
 // satSearch returns the first satStack index whose clause's satisfaction
 // tag is at least tag (len(satStack) if none is).
 func (s *Solver) satSearch(tag int) int {
@@ -157,31 +148,30 @@ func (s *Solver) satSearch(tag int) int {
 
 // visitWatches processes the constraints of primary quantifier q whose
 // watch the assignment of l just hit: for q = ∃ the clauses watching l̄,
-// which l falsified; for q = ∀ the cubes watching l, which l satisfied. Each one gets its watch repaired or is found dormant, unit
-// (Lemma 5, or its dual for cubes) or firing: a contradictory clause
-// (Lemma 4), or a cube whose residual has no universal literal.
+// which l falsified; for q = ∀ the cubes watching l, which l satisfied.
+// Each one gets its watch repaired or is found dormant, unit (Lemma 5, or
+// its dual for cubes) or firing: a contradictory clause (Lemma 4), or a
+// cube whose residual has no universal literal.
 //
 // The per-kind values are fixed at entry. A clause is dormant while one of
 // its literals is true and is visited when a watch is falsified, so it is
-// keyed by its watches' negations (litIdx(m.Neg()) == litIdx(m)^1); it
-// fires a conflict, and its unit rule makes the last open existential
-// true. A cube is dormant while one of its literals is false and is
-// visited when a watch is satisfied, so it is keyed by the watches
-// themselves; it fires a solution, and its unit rule makes the last open
-// universal false.
+// keyed by its watches' negations (the code m^1); it fires a conflict, and
+// its unit rule makes the last open existential true. A cube is dormant
+// while one of its literals is false and is visited when a watch is
+// satisfied, so it is keyed by the watches themselves; it fires a
+// solution, and its unit rule makes the last open universal false.
 //
 //qbf:hotpath
-func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
-	lists, hit, dormant, trig, par, fire := s.watchCl, l.Neg(), vTrue, vFalse, 1, evConflict
+func (s *Solver) visitWatches(l code, q qbf.Quant) (event, int) {
+	lists, hit, dormant, trig, par, fire := s.watchCl, l^1, vTrue, vFalse, code(1), evConflict
 	if q == qbf.Forall {
 		lists, hit, dormant, trig, par, fire = s.watchCu, l, vFalse, vTrue, 0, evSolution
 	}
-	idx := litIdx(l)
-	ws := lists[idx]
+	ws := lists[l]
 	j := 0
 	for i := 0; i < len(ws); i++ {
 		w := ws[i]
-		if s.litValue(qbf.Lit(w.blocker)) == dormant { //lint:allow L2 round-trip decode of a stored watcher blocker
+		if s.val[w.blocker] == dormant {
 			ws[j] = w
 			j++
 			continue
@@ -195,15 +185,15 @@ func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
 			// A single-literal constraint (a q literal, by reduction) was
 			// hit: it fires. This entry and the rest keep their places.
 			j += copy(ws[j:], ws[i:])
-			lists[idx] = ws[:j]
+			lists[l] = ws[:j]
 			return fire, ci
 		}
 		if s.ar.lit(ci, 0) == hit {
 			s.ar.swapLits(ci, 0, 1)
 		}
 		other := s.ar.lit(ci, 0)
-		if s.litValue(other) == dormant {
-			ws[j] = watcher{w.c, int32(other)}
+		if s.val[other] == dormant {
+			ws[j] = watcher{w.c, other}
 			j++
 			continue
 		}
@@ -219,14 +209,14 @@ func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
 		// the hit watch on the trail, and backtracking pops trail suffixes
 		// — whenever the blocker is unassigned, the parked watch is too.
 		moved := false
-		var park qbf.Lit
+		var park code // 0: none
 		for k := 2; k < n; k++ {
 			m := s.ar.lit(ci, k)
-			mv := s.litValue(m)
-			if mv != trig && s.quant[m.Var()] == q {
+			mv := s.val[m]
+			if mv != trig && s.quant[m.v()] == q {
 				s.ar.swapLits(ci, 1, k)
-				mi := litIdx(m) ^ par
-				lists[mi] = append(lists[mi], watcher{w.c, int32(other)})
+				mi := m ^ par
+				lists[mi] = append(lists[mi], watcher{w.c, other})
 				moved = true
 				break
 			}
@@ -239,20 +229,20 @@ func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
 			continue
 		}
 		if park != 0 {
-			ws[j] = watcher{w.c, int32(park)}
+			ws[j] = watcher{w.c, park}
 			j++
 			continue
 		}
 		// No replacement and nothing to park on: positions ≥ 2 hold only
 		// hit literals and unassigned literals of the other quantifier.
-		if s.litValue(other) == trig || s.quant[other.Var()] != q {
+		if s.val[other] == trig || s.quant[other.v()] != q {
 			// No open q literal and no dormant literal: reduction empties
 			// the residual constraint, whatever its open literals of the
 			// other quantifier are set to. The clause is contradictory
 			// (Lemma 4), or the cube fires. Keep the watches — event
 			// handling backtracks below the current level, undoing l.
 			j += copy(ws[j:], ws[i:])
-			lists[idx] = ws[:j]
+			lists[l] = ws[:j]
 			return fire, ci
 		}
 		// other is the single open q literal. Unit rule: it is forced,
@@ -263,10 +253,10 @@ func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
 		blocked := false
 		for k := 2; k < n; k++ {
 			m := s.ar.lit(ci, k)
-			if s.value[m.Var()] == undef && s.before(m.Var(), other.Var()) {
+			if s.val[m] == undef && s.before(m.v(), other.v()) {
 				s.ar.swapLits(ci, 1, k)
-				mi := litIdx(m) ^ par
-				lists[mi] = append(lists[mi], watcher{w.c, int32(other)})
+				mi := m ^ par
+				lists[mi] = append(lists[mi], watcher{w.c, other})
 				blocked = true
 				break
 			}
@@ -275,21 +265,21 @@ func (s *Solver) visitWatches(l qbf.Lit, q qbf.Quant) (event, int) {
 			continue
 		}
 		s.assign(forced(other, dormant), reasonConstraint, ci)
-		ws[j] = watcher{w.c, int32(other)}
+		ws[j] = watcher{w.c, other}
 		j++
 	}
-	lists[idx] = ws[:j]
+	lists[l] = ws[:j]
 	return evNone, -1
 }
 
 // forced is the unit rule's assignment to the last open literal m of a
 // constraint: the literal that gives m the value dormant, so m itself for
 // a clause (dormant = vTrue) and m̄ for a cube.
-func forced(m qbf.Lit, dormant int8) qbf.Lit {
+func forced(m code, dormant int8) code {
 	if dormant == vTrue {
 		return m
 	}
-	return m.Neg()
+	return m ^ 1
 }
 
 // initWatches installs the watches of a freshly added constraint under the
@@ -321,16 +311,16 @@ func (s *Solver) placeWatches(ci int) {
 	}
 	rank := func(k int) (int, int) {
 		m := s.ar.lit(ci, k)
-		mv := s.litValue(m)
+		mv, v := s.val[m], m.v()
 		switch {
-		case mv == undef && s.quant[m.Var()] == q:
-			return 3, s.plevel[m.Var()] // deeper is better
+		case mv == undef && s.quant[v] == q:
+			return 3, s.plevel[v] // deeper is better
 		case mv == dormant:
-			return 2, -s.trailPos[m.Var()] // earlier assigned is better
+			return 2, -s.trailPos[v] // earlier assigned is better
 		case mv == undef:
-			return 1, s.plevel[m.Var()]
+			return 1, s.plevel[v]
 		default:
-			return 0, s.trailPos[m.Var()] // later hit is better
+			return 0, s.trailPos[v] // later hit is better
 		}
 	}
 	w0, w1 := 0, 1
@@ -359,18 +349,18 @@ func (s *Solver) placeWatches(ci int) {
 // attachWatches appends the watchers of the literals at positions 0 and 1
 // (0 only, for a unit) to the watcher lists of the constraint's kind.
 func (s *Solver) attachWatches(ci int) {
-	lists, par := s.watchCl, 1
+	lists, par := s.watchCl, code(1)
 	if s.ar.isCube(ci) {
 		lists, par = s.watchCu, 0
 	}
 	l0 := s.ar.lit(ci, 0)
-	i0 := litIdx(l0) ^ par
+	i0 := l0 ^ par
 	if s.ar.size(ci) == 1 {
-		lists[i0] = append(lists[i0], watcher{int32(ci), int32(l0)})
+		lists[i0] = append(lists[i0], watcher{int32(ci), l0})
 		return
 	}
 	l1 := s.ar.lit(ci, 1)
-	i1 := litIdx(l1) ^ par
-	lists[i0] = append(lists[i0], watcher{int32(ci), int32(l1)})
-	lists[i1] = append(lists[i1], watcher{int32(ci), int32(l0)})
+	i1 := l1 ^ par
+	lists[i0] = append(lists[i0], watcher{int32(ci), l1})
+	lists[i1] = append(lists[i1], watcher{int32(ci), l0})
 }

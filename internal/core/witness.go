@@ -31,7 +31,7 @@ func (s *Solver) Witness() (map[qbf.Var]bool, bool) {
 		if b.quant != qbf.Exists || b.level != 1 {
 			continue
 		}
-		switch s.value[v] {
+		switch s.val[code(v)<<1] {
 		case vTrue:
 			model[v] = true
 		case vFalse:

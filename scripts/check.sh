@@ -39,7 +39,13 @@
 #                          stress under -tags qbfdebug -race with the
 #                          deep checker's watcher, frame and assumption
 #                          invariants armed; any verdict disagreement
-#                          against the oracle fails. Also the
+#                          against the oracle fails. With them the deep
+#                          checker's own tests: it accepts healthy state
+#                          and recomputes each empty-matrix cover by the
+#                          full walk, and each check — value table, cover
+#                          lists, cover shortcut, the frame suffix
+#                          property Pop relies on, tags, assumptions —
+#                          fires on a planted violation. Also the
 #                          block-marking reductions against the pairwise
 #                          definition of universal/existential reduction
 #                          on random tree and prenex prefixes: any
@@ -69,8 +75,9 @@
 #                          definitions; the linear-time guards (IsPrenex
 #                          on 200k-variable chains, NewSolver on a
 #                          200k-literal clause, buildSpec's prenex check
-#                          on a mode=to request), each under a wall bound
-#                          a quadratic step misses by minutes, and
+#                          on a mode=to request, Pop of a 200k-clause
+#                          frame), each under a wall bound a quadratic
+#                          step misses by minutes, and
 #                          NewSolver's bytes on alternating chains of 1k
 #                          and 4k blocks, which must grow linearly; and the
 #                          allocation test: ReadString plus NewSolver on
@@ -153,15 +160,15 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants) + search counts golden + construction path"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants) + deep-checker planted violations + search counts golden + construction path and Pop linear guards"
 go test -tags qbfdebug -race -count=1 \
-    -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise' \
+    -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise|TestDeepCheck' \
     ./internal/core/
 go test -tags qbfdebug -race -count=1 -short \
     -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
     ./internal/dia/
 go test -count=1 -run TestSearchCountsGolden ./internal/bench/
-go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat' \
+go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat|TestPopLinearFrame' \
     ./internal/core/
 go test -count=1 -run 'TestIsPrenexMatchesPairwise|TestValidateMatchesMapReference|TestIsPrenexLinear' \
     ./internal/qbf/
