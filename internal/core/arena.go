@@ -40,7 +40,8 @@ import "math"
 // compacted in place when enough of them have been deleted; compaction
 // returns an (old ref → new ref) mapping which the solver applies to every
 // ref-holding structure (occurrence lists, watcher lists, trail reasons,
-// wake queue, frame clause lists, the satisfied-clause stack).
+// the units list, frame clause and learned lists, the satisfied-clause
+// stack).
 const (
 	hdrWords = 4
 	offAct   = 1

@@ -391,34 +391,21 @@ func (s *Solver) checkMatrixBookkeeping() {
 	}
 }
 
-// checkFrames validates the incremental-session bookkeeping: frame marks
-// are monotone positions into the (level-0 prefix of the) trail, the
-// recorded root cut positions strictly increase within the level-0 trail,
-// every clause a frame tracks is a live runtime original carrying that
-// frame's depth as its tag, learned tags are bounded by the live frame
-// count, learned cubes — implicants of the current matrix, invalidated by
-// any matrix growth — always carry tag 0, and the root assumptions are
-// consistent with the frames (checkAssumptions).
+// checkFrames validates the incremental-session bookkeeping: every clause
+// a frame tracks is a live runtime original carrying that frame's depth as
+// its tag, learned tags are bounded by the live frame count, each frame's
+// learned list names exactly the live learned clauses tagged with its
+// depth (what Pop drops), learned cubes — implicants of the current
+// matrix, invalidated by any matrix growth — always carry tag 0, the units
+// list is exact (checkUnits), and the root assumptions are consistent with
+// the frames (checkAssumptions).
 func (s *Solver) checkFrames() {
 	invariant.Check(s.falseFrom >= -1 && s.falseFrom <= len(s.frames),
 		"core: falseFrom=%d with %d frames", s.falseFrom, len(s.frames))
-	root := len(s.trail)
-	if s.level > 0 {
-		root = s.levelStart[1]
-	}
-	prevCut := -1
-	for _, p := range s.rootCuts {
-		invariant.Check(p > prevCut && p <= root,
-			"core: root cut position %d outside (%d,%d]", p, prevCut, root)
-		prevCut = p
-	}
-	prev := 0
+	onList := make(map[int]int) // live ref on a frame's learned list → depth
 	for fi := range s.frames {
 		f := &s.frames[fi]
 		depth := fi + 1
-		invariant.Check(f.mark >= prev && f.mark <= len(s.trail),
-			"core: frame %d mark %d outside [%d,%d]", depth, f.mark, prev, len(s.trail))
-		prev = f.mark
 		for _, ci := range f.clauses {
 			invariant.Check(ci >= s.origEnd && ci < s.ar.end(),
 				"core: frame %d tracks ref %d outside the runtime region", depth, ci)
@@ -426,6 +413,16 @@ func (s *Solver) checkFrames() {
 				"core: frame %d tracks ref %d that is not a live original clause", depth, ci)
 			invariant.Check(s.ar.frame(ci) == depth,
 				"core: frame %d tracks ref %d tagged %d", depth, ci, s.ar.frame(ci))
+		}
+		for _, ci := range f.learned {
+			invariant.Check(ci >= s.origEnd && ci < s.ar.end(),
+				"core: frame %d lists learned ref %d outside the learned region", depth, ci)
+			if s.ar.deleted(ci) {
+				continue
+			}
+			_, dup := onList[ci]
+			invariant.Check(!dup, "core: learned clause %d is listed twice by the frames", ci)
+			onList[ci] = depth
 		}
 	}
 	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
@@ -438,27 +435,53 @@ func (s *Solver) checkFrames() {
 		if s.ar.isCube(ci) {
 			invariant.Check(tag == 0, "core: learned cube %d carries frame tag %d", ci, tag)
 		}
+		want := 0
+		if s.ar.learned(ci) {
+			want = tag
+		}
+		invariant.Check(onList[ci] == want,
+			"core: constraint %d tagged %d is on the learned list of frame %d (0: none), want %d", ci, tag, onList[ci], want)
 	}
+	s.checkUnits()
 	s.checkAssumptions()
+}
+
+// checkUnits validates the list solve rebuilds level 0 from: units names
+// exactly the live unit constraints above origEnd, each once. A deleted
+// ref may stay on the list until the next compaction purges it.
+func (s *Solver) checkUnits() {
+	listed := make(map[int]bool, len(s.units))
+	for i, ci := range s.units {
+		invariant.Check(ci >= s.origEnd && ci < s.ar.end(),
+			"core: units[%d]=%d lies outside the region above origEnd", i, ci)
+		if s.ar.deleted(ci) {
+			continue
+		}
+		invariant.Check(s.ar.size(ci) == 1, "core: units[%d]=%d has %d literals", i, ci, s.ar.size(ci))
+		invariant.Check(!listed[ci], "core: units lists constraint %d twice", ci)
+		listed[ci] = true
+	}
+	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
+		if !s.ar.deleted(ci) && s.ar.size(ci) == 1 {
+			invariant.Check(listed[ci], "core: live unit constraint %d is missing from units", ci)
+		}
+	}
 }
 
 // checkAssumptions validates the root assumptions at a quiescent fixpoint:
 // their depths are non-decreasing and name open frames; every
-// reasonAssumption trail entry sits at level 0, asserts a live assumption
-// (none of a popped frame remains), and lies at or after the mark of the
-// shallowest frame assuming it — so the Pop that retracts the last such
-// assumption unwinds the entry; and every live assumption is true.
+// reasonAssumption trail entry sits at level 0 and asserts a live
+// assumption (none of a popped frame remains); and every live assumption
+// is true.
 func (s *Solver) checkAssumptions() {
-	shallowest := make(map[qbf.Lit]int, len(s.assumps))
+	live := make(map[qbf.Lit]bool, len(s.assumps))
 	prev := 0
 	for i, a := range s.assumps {
 		l := a.lit.lit()
 		invariant.Check(a.depth >= prev && a.depth <= len(s.frames),
 			"core: assumption %d (literal %d) has depth %d outside [%d,%d]", i, l, a.depth, prev, len(s.frames))
 		prev = a.depth
-		if _, ok := shallowest[l]; !ok {
-			shallowest[l] = a.depth
-		}
+		live[l] = true
 		invariant.Check(s.truth(l) == vTrue,
 			"core: live assumption %d (depth %d) is not true at a fixpoint", l, a.depth)
 	}
@@ -469,13 +492,7 @@ func (s *Solver) checkAssumptions() {
 		}
 		invariant.Check(s.dlevel[l.Var()] == 0,
 			"core: assumption entry %d at trail position %d sits at level %d", l, i, s.dlevel[l.Var()])
-		depth, ok := shallowest[l]
-		invariant.Check(ok, "core: assumption entry %d at trail position %d asserts no live assumption", l, i)
-		if depth > 0 {
-			invariant.Check(i >= s.frames[depth-1].mark,
-				"core: assumption entry %d at trail position %d is below its frame %d mark %d",
-				l, i, depth, s.frames[depth-1].mark)
-		}
+		invariant.Check(live[l], "core: assumption entry %d at trail position %d asserts no live assumption", l, i)
 	}
 }
 

@@ -4,6 +4,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -175,7 +176,7 @@ func sessionSolver(t *testing.T) *Solver {
 		t.Fatal(err)
 	}
 	if ev, _ := s.propagateAll(); ev != evNone {
-		t.Fatalf("waking the runtime clauses raised event %d", ev)
+		t.Fatalf("propagating the runtime clauses raised event %d", ev)
 	}
 	s.deepCheck() // healthy
 	return s
@@ -258,7 +259,7 @@ func assumedSolver(t *testing.T) *Solver {
 	if err := s.Assume(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.assumps) != 1 || !s.assertAssumptions() {
+	if len(s.assumps) != 1 || !s.assertRoot() {
 		t.Fatalf("x1 was not taken as a root assumption: %v", s.assumps)
 	}
 	if ev, _ := s.propagateAll(); ev != evNone {
@@ -293,17 +294,37 @@ func TestDeepCheckCatchesStaleAssumptionEntry(t *testing.T) {
 	wantViolation(t, "asserts no live assumption", func() { s.deepCheck() })
 }
 
-func TestDeepCheckCatchesAssumptionBelowMark(t *testing.T) {
-	s := assumedSolver(t)
-	// The frame claims to have opened after x1 was asserted, so popping it
-	// would leave the entry of its own assumption behind.
-	s.frames[0].mark = s.trailPos[1] + 1
-	wantViolation(t, "below its frame 1 mark", func() { s.deepCheck() })
-}
-
 func TestDeepCheckCatchesUnassertedAssumption(t *testing.T) {
 	s := assumedSolver(t)
 	// A live assumption that the fixpoint never asserted.
 	s.assumps = append(s.assumps, assumption{lit: enc(-2), depth: 1})
 	wantViolation(t, "is not true at a fixpoint", func() { s.deepCheck() })
+}
+
+func TestDeepCheckCatchesUnitListDrift(t *testing.T) {
+	s, err := NewSolver(phpFormula(3), Options{Incremental: true, CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Solve inside a frame and pop it: the learned clauses carry tag 0 and
+	// survive, and the Pop leaves the quiescent empty trail.
+	if _, err := s.Push(); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.Solve(context.Background()); v != False {
+		t.Fatalf("php3 verdict %v, want False", v)
+	}
+	if _, err := s.Pop(); err != nil {
+		t.Fatal(err)
+	}
+	s.deepCheck() // healthy
+	for i, ci := range s.units {
+		if !s.ar.deleted(ci) && s.ar.learned(ci) {
+			// A list without the unit: the next Solve would not assert it.
+			s.units = append(s.units[:i], s.units[i+1:]...)
+			wantViolation(t, fmt.Sprintf("live unit constraint %d is missing from units", ci), func() { s.deepCheck() })
+			return
+		}
+	}
+	t.Fatal("php3 learned no unit — the check is vacuous")
 }

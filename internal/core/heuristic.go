@@ -103,8 +103,7 @@ func (s *Solver) rebuildBlockBonus() {
 func (s *Solver) initScores() {
 	s.scoreInc = 1
 	for l := code(2); l < code(2*(s.nVars+1)); l++ {
-		s.lastCounter[l] = s.assocCounter(l)
-		s.score[l] = float64(s.lastCounter[l])
+		s.score[l] = float64(s.assocCounter(l))
 	}
 	s.rebuildBlockBonus()
 }

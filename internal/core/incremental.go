@@ -24,10 +24,11 @@ import (
 //     ≺-minimal. Fixing such a variable leaves the matrix unchanged; it is
 //     the branch every search would open with. The literal goes on the
 //     depth-tagged assumption list (assumps), and solve asserts every live
-//     one at level 0 (reasonAssumption) before it searches; one already
-//     false there makes the answer False. An assumption is never a
-//     resolution pivot, so every learned clause and cube stays a
-//     consequence of the matrix alone and outlives the assumption.
+//     one at level 0 (reasonAssumption), after the unit constraints,
+//     before it searches; one already false there makes the answer False.
+//     An assumption is never a resolution pivot, so every learned clause
+//     and cube stays a consequence of the matrix alone and outlives the
+//     assumption.
 //   - Any other literal (a universal, or an existential behind an
 //     alternation) is added as the unit clause it stands for.
 //
@@ -48,27 +49,21 @@ import (
 //     invalidates it. Root assumptions leave the matrix alone, so cubes
 //     survive them.
 //
-// Frame marks make the drops safe. A frame records the level-0 trail
-// length at its Push; a constraint tagged d can only have propagated at
-// trail positions at or past frame d's mark (it did not exist — or, for a
-// lemma, had no frame-d premise — before then), and an assumption of
-// depth d is asserted there too, so Pop first unwinds the level-0 trail
-// to the mark and only then deletes, leaving no trail entry citing a
-// deleted reason or a popped assumption. dropAllCubes and invalidatePures
-// maintain the same property from the other side: when they unwind
-// level-0 entries below an open frame's mark, they clamp that mark down
-// to the cut, keeping "tagged ≥ d propagates ≥ mark_d" true for the rest
-// of the session. All three cut through cutRoot, which moves a cut down to
-// the last position below which no entry was visited after the entries
-// above it were assigned, so the watches below the cut do not depend on
-// the entries above it. The assumptions such an unwind retracts are
-// asserted again by the next solve.
+// Every session operation starts from the empty assignment: beginOp
+// unwinds the whole trail, level 0 included, so no level-0 entry outlives
+// an operation and none has to be repaired. An operation installs a
+// clause's watches under the empty assignment and deletes constraints that
+// no trail entry cites. The next Solve rebuilds level 0 (assertRoot): it
+// asserts every live unit constraint, then every root assumption, and
+// leaves propagation and pure fixing to derive the rest. The unit
+// constraints are the runtime unit clauses (a non-root Assume installs
+// one) and the learned units, kept as arena refs on the units list; a
+// unit cube asserts its complement, and a unit whose literal is already
+// false is left to the watcher visit that reports it. Construction-time
+// unit clauses are not on the list: as in a one-shot search, the watches
+// report them when the search falsifies them.
 //
-// A freshly added clause is installed with watches computed under the
-// current level-0 assignment, which the watch machinery never observed
-// changing; the clause is therefore queued on wakeRefs and fully scanned
-// at the next propagation fixpoint (propagateAll/drainWakes). A clause
-// whose universal reduction is empty or existential-free is a
+// A clause whose universal reduction is empty or existential-free is a
 // contradiction (Lemma 4) the moment it is added: falseFrom records the
 // shallowest frame depth that did this, Solve returns False while the
 // record lives, and the Pop of that depth clears it.
@@ -81,14 +76,13 @@ import (
 
 // frame is one open assumption frame.
 type frame struct {
-	// mark is the level-0 trail position the frame opened at (clamped down
-	// by dropAllCubes and invalidatePures when they unwind entries below
-	// it); popping the frame unwinds the trail to it, or below it
-	// (cutRoot).
-	mark int
 	// clauses are the arena refs of the original clauses added at this
 	// depth, in install order, removed eagerly on Pop (retractFrame).
 	clauses []int
+	// learned are the arena refs of the learned clauses tagged with this
+	// depth, which Pop drops. A ref a reduction round deleted stays until
+	// the next compaction purges it.
+	learned []int
 }
 
 // assumption is one live root assumption: a ≺-minimal existential literal
@@ -106,14 +100,16 @@ var ErrNotIncremental = errors.New("core: session operation on a solver built wi
 var ErrNoFrame = errors.New("core: Pop without a matching Push")
 
 // beginOp gates and normalizes every session operation: the solver must be
-// incremental, and the search state is rewound to the root so the
-// operation manipulates only the level-0 trail. The rewind takes away the
-// terminal assignment a True verdict's witness is read from.
+// incremental, and the whole trail, level 0 included, is unwound, so the
+// operation works on the empty assignment and the next Solve rebuilds
+// level 0 (assertRoot). The unwind takes away the terminal assignment a
+// True verdict's witness is read from.
 func (s *Solver) beginOp() error {
 	if !s.opt.Incremental {
 		return ErrNotIncremental
 	}
 	s.backtrack(0)
+	s.unwindTrail(0)
 	s.opDirty = true
 	s.modelGone = true
 	return nil
@@ -130,7 +126,7 @@ func (s *Solver) Push() (int, error) {
 	if err := s.beginOp(); err != nil {
 		return 0, err
 	}
-	s.frames = append(s.frames, frame{mark: len(s.trail)})
+	s.frames = append(s.frames, frame{})
 	s.emitEv(telemetry.KindFrame, 0, 0, int64(len(s.frames)))
 	return len(s.frames), nil
 }
@@ -153,13 +149,14 @@ func (s *Solver) Pop() (int, error) {
 		return 0, ErrNoFrame
 	}
 	f := s.frames[d-1]
-	s.cutRoot(f.mark)
 	for len(s.assumps) > 0 && s.assumps[len(s.assumps)-1].depth == d {
 		s.assumps = s.assumps[:len(s.assumps)-1]
 	}
 	s.retractFrame(f.clauses)
-	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
-		if !s.ar.deleted(ci) && s.ar.learned(ci) && s.ar.frame(ci) >= d {
+	// Frame d is the deepest, so every learned clause tagged d or deeper
+	// is on its list.
+	for _, ci := range f.learned {
+		if !s.ar.deleted(ci) {
 			s.dropLearned(ci)
 		}
 	}
@@ -168,15 +165,7 @@ func (s *Solver) Pop() (int, error) {
 		s.falseFrom = -1
 	}
 	if s.lastResult == False && d <= s.falseDepth {
-		// The False verdict may have been a terminal root conflict, which
-		// returned with the falsified clause's triggers consumed on the
-		// level-0 trail. If the falsifying assignments survive this pop
-		// (their frames are still open), nothing would ever revisit the
-		// clause, so queue every live clause for a full rescan: the next
-		// propagation fixpoint re-derives the conflict if it still holds,
-		// and re-asserts root units that the unwind removed if it does not.
 		s.lastResult = Unknown
-		s.rewakeClauses()
 	}
 	if s.ar.wasted > 0 && 2*s.ar.wasted >= s.ar.end()-s.origEnd {
 		s.compactLearned()
@@ -246,7 +235,6 @@ func (s *Solver) AddClause(c qbf.Clause) error {
 		return nil
 	}
 	s.dropAllCubes()
-	s.invalidatePures(lits)
 	s.installRuntimeClause(lits, depth)
 	s.emitEv(telemetry.KindFrame, 0, 2, int64(depth))
 	return nil
@@ -290,9 +278,7 @@ func (s *Solver) rootLit(l qbf.Lit) bool {
 }
 
 // assumeRoot records l as a root assumption at the current depth. No clause
-// is installed, so no cube is dropped and no frame tag is involved; only a
-// root pure assignment of l's variable is unwound (invalidatePures), since
-// the value purity picked may be the one the assumption excludes.
+// is installed, so no cube is dropped and no frame tag is involved.
 func (s *Solver) assumeRoot(l code) error {
 	if err := s.beginOp(); err != nil {
 		return err
@@ -300,73 +286,78 @@ func (s *Solver) assumeRoot(l code) error {
 	if s.lastResult == True {
 		s.lastResult = Unknown
 	}
-	s.invalidatePures([]code{l})
 	s.assumps = append(s.assumps, assumption{lit: l, depth: len(s.frames)})
 	s.emitEv(telemetry.KindFrame, 0, 3, int64(len(s.frames)))
 	return nil
 }
 
-// assertAssumptions puts every live root assumption on the level-0 trail
-// that is not already there, and reports false when one is false there.
-// solve calls it before searching, which also repairs the unwinds of
-// Pop, dropAllCubes and invalidatePures. A resumed search finds them all
-// true: nothing below level 1 is unwound while a search runs.
-func (s *Solver) assertAssumptions() bool {
+// assertRoot rebuilds level 0 on the empty trail a session operation
+// leaves: it asserts every live unit constraint, then every live root
+// assumption, and reports false when an assumption is false there. A unit
+// clause asserts its literal and a unit cube the complement of its
+// universal; a unit whose literal is already false is left to the watcher
+// visit that reports it. solve calls it before searching. A resumed search
+// finds everything assigned: nothing below level 1 is unwound while a
+// search runs, and a learned unit is asserted as it is learned.
+func (s *Solver) assertRoot() bool {
+	assert := func(l code, why reasonKind, reasonCon int) {
+		if s.level != 0 {
+			invariant.Violated("core: root literal %d unassigned at decision level %d", l.lit(), s.level)
+		}
+		s.assign(l, why, reasonCon)
+	}
+	for _, ci := range s.units {
+		if s.ar.deleted(ci) {
+			continue
+		}
+		l := s.ar.lit(ci, 0)
+		if s.ar.isCube(ci) {
+			l ^= 1
+		}
+		if s.val[l] == undef {
+			assert(l, reasonConstraint, ci)
+		}
+	}
 	for _, a := range s.assumps {
 		switch s.val[a.lit] {
 		case vFalse:
 			return false
 		case undef:
-			if s.level != 0 {
-				invariant.Violated("core: root assumption %d unassigned at decision level %d", a.lit.lit(), s.level)
-			}
-			s.assign(a.lit, reasonAssumption, -1)
+			assert(a.lit, reasonAssumption, -1)
 		}
 	}
 	return true
 }
 
 // installRuntimeClause installs a validated, universally reduced clause as
-// a runtime original: into the arena (learned flag off, tagged with its
-// frame depth), the occurrence and heuristic counters, the residual-matrix
-// bookkeeping, the watcher tables, the runtime-original and cover lists,
-// and the wake queue. Only literals the propagation engine has dequeued
-// satisfy the clause here — satWalk takes it out of the matrix when a
-// pending one drains. A clause that an older dequeued root literal already
-// satisfies gets that literal's satisfaction tag and enters satStack at
-// its sorted place, so the unwind that pops the literal returns the clause
-// to the matrix.
-func (s *Solver) installRuntimeClause(lits []code, depth int) int {
+// a runtime original on the empty trail (beginOp): into the arena (learned
+// flag off, tagged with its frame depth), the occurrence and heuristic
+// counters, the residual-matrix bookkeeping, the watcher tables, the
+// runtime-original and cover lists, and, for a unit clause, the units
+// list. No literal is assigned, so the clause joins the residual matrix
+// and its watches are placed as for a construction-time original.
+func (s *Solver) installRuntimeClause(lits []code, depth int) {
 	id := s.ar.alloc(lits, false, false)
 	s.ar.setFrame(id, depth)
 	s.nOriginalClauses++
-	tag := 0
+	s.numUnsatOriginal++
 	for _, l := range lits {
 		s.occ[l] = append(s.occ[l], int32(id))
 		s.counter[l]++
-		if p := s.trailPos[l.v()]; s.val[l] == vTrue && p < s.qhead && (tag == 0 || p+1 < tag) {
-			tag = p + 1
-		}
-	}
-	if tag == 0 {
-		s.numUnsatOriginal++
-		for _, l := range lits {
-			s.activeOcc[l]++
-		}
-	} else {
-		s.satInsert(id, tag)
+		s.activeOcc[l]++
 	}
 	s.initWatches(id)
-	s.wakeRefs = append(s.wakeRefs, id)
 	s.runtimeOrig = append(s.runtimeOrig, id)
 	if s.coverable(id) {
 		s.coverRuntime = append(s.coverRuntime, int32(id))
+	}
+	if len(lits) == 1 {
+		s.units = append(s.units, id)
 	}
 	if depth > 0 {
 		fr := &s.frames[depth-1]
 		fr.clauses = append(fr.clauses, id)
 	}
-	return id
 }
 
 // retractFrame retracts the runtime originals of the deepest frame, in
@@ -377,26 +368,18 @@ func (s *Solver) installRuntimeClause(lits []code, depth int) int {
 // originals and then the runtime ones in install order; compaction rebinds
 // refs in place. The deepest frame's clauses are therefore the last
 // entries of runtimeOrig, of coverRuntime, and of every occurrence list
-// that holds them, and each is cut off its end in O(1). The residual-matrix
-// bookkeeping (numUnsatOriginal, activeOcc, pureCand) runs per clause in
-// install order. satStack loses the tagged ones in one pass that keeps the
-// others in order. Watcher entries are dropped lazily like any deleted
-// constraint's.
+// that holds them, and each is cut off its end in O(1). Pop runs on the
+// empty trail, so every clause is in the residual matrix; its bookkeeping
+// (numUnsatOriginal, activeOcc, pureCand) runs per clause in install
+// order. Watcher entries are dropped lazily like any deleted constraint's.
 func (s *Solver) retractFrame(cls []int) {
-	tagged := false
 	for _, ci := range cls {
-		n := s.ar.size(ci)
-		if s.ar.sat(ci) != 0 {
-			tagged = true
-		} else {
-			// The clause was part of the residual matrix; it leaves it.
-			s.numUnsatOriginal--
-			for k := 0; k < n; k++ {
-				m := s.ar.lit(ci, k)
-				s.activeOcc[m]--
-				if s.activeOcc[m] == 0 && s.val[m] == undef {
-					s.pureCand = append(s.pureCand, m.v())
-				}
+		s.numUnsatOriginal--
+		for k, n := 0, s.ar.size(ci); k < n; k++ {
+			m := s.ar.lit(ci, k)
+			s.activeOcc[m]--
+			if s.activeOcc[m] == 0 {
+				s.pureCand = append(s.pureCand, m.v())
 			}
 		}
 		s.ar.del(ci)
@@ -422,127 +405,18 @@ func (s *Solver) retractFrame(cls []int) {
 	}
 	s.coverRuntime = s.coverRuntime[:n]
 	s.nOriginalClauses -= len(cls)
-	if tagged {
-		live := s.satStack[:0]
-		for _, ci := range s.satStack {
-			if !s.ar.deleted(int(ci)) {
-				live = append(live, ci)
-			}
-		}
-		s.satStack = live
-	}
-}
-
-// invalidatePures unwinds every root-level pure assignment whose variable
-// the incoming clause mentions — in either polarity; a root assumption
-// passes itself as a one-literal clause. A falsified pure loses its
-// justification outright (the clause introduces the complement the
-// absence of which justified it). But an AGREEING literal is no safer: a
-// universal that was pure-or-unconstrained may have been fixed to the value
-// that now satisfies the clause, while the grown occurrence sets demand the
-// opposite value (the adversary never satisfies a clause it can falsify) —
-// keeping it would count the clause satisfied by a wrongly-oriented
-// universal. The trail is cut (cutRoot) at or below the earliest such
-// entry (unwound pure variables re-enter pureCand and are re-judged
-// against the updated occurrence sets at the next fixpoint). Pure
-// assignments of variables the clause does not mention keep their
-// justification and stay unless the cut falls below them.
-func (s *Solver) invalidatePures(lits []code) {
-	cut := len(s.trail)
-	for _, l := range lits {
-		v := l.v()
-		if s.val[l] != undef && s.dlevel[v] == 0 && s.reason[v] == reasonPure {
-			if p := s.trailPos[v]; p < cut {
-				cut = p
-			}
-		}
-	}
-	s.cutRoot(cut)
-}
-
-// rewakeClauses queues every live clause — base, runtime, learned — for a
-// state scan at the next propagation fixpoint (see Pop). Cubes are exempt:
-// a consumed solution event cannot go stale, because the matrix-empty check
-// is recomputed at every fixpoint and AddClause drops all cubes before the
-// matrix can grow.
-func (s *Solver) rewakeClauses() {
-	for ci := 0; ci < s.ar.end(); ci = s.ar.next(ci) {
-		if !s.ar.deleted(ci) && !s.ar.isCube(ci) {
-			s.wakeRefs = append(s.wakeRefs, ci)
-		}
-	}
 }
 
 // dropAllCubes deletes every learned cube — the AddClause side of the cube
-// lifecycle (see the file comment). Cube-reasoned level-0 trail entries
-// would be left citing deleted reasons, so the trail is first cut
-// (cutRoot) at or below the earliest such entry.
+// lifecycle (see the file comment). The trail is empty, so no entry cites
+// a cube.
 func (s *Solver) dropAllCubes() {
 	if s.learnedCubes == 0 {
 		return
 	}
-	cut := len(s.trail)
-	for i := 0; i < len(s.trail); i++ {
-		v := s.trail[i].v()
-		if s.reason[v] == reasonConstraint && s.ar.isCube(s.reasonC[v]) {
-			cut = i
-			break
-		}
-	}
-	s.cutRoot(cut)
 	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
 		if !s.ar.deleted(ci) && s.ar.learned(ci) && s.ar.isCube(ci) {
 			s.dropLearned(ci)
-		}
-	}
-}
-
-// noteRootCut records the current level-0 trail length as a position
-// cutRoot may cut at. The caller guarantees that no entry below it will be
-// visited again: the search sits at a quiescent level-0 fixpoint, or a
-// Solve is starting with an empty propagation queue.
-func (s *Solver) noteRootCut() {
-	if n := len(s.rootCuts); n == 0 || s.rootCuts[n-1] < len(s.trail) {
-		s.rootCuts = append(s.rootCuts, len(s.trail))
-	}
-}
-
-// cutRoot unwinds the level-0 trail to end — or further, to the last
-// recorded cut position at or below end (0 if none) — and clamps every
-// open frame's mark down to the cut. Every session operation that
-// retracts level-0 entries goes through it; with nothing at or above end
-// there is nothing to retract.
-//
-// A clause whose watched literal is falsified while another of its
-// literals is already true stays parked on the falsified watch
-// (watch.go). The search pops whole decision levels, which takes the
-// satisfier and the parked watch off together. A cut inside level 0 can
-// separate them when the satisfier was assigned after the falsified watch
-// but before the visit that parked on it — a cube-propagated universal,
-// say — and a clause left watching a false existential and an unassigned
-// universal misses its next falsification: a silent conflict. Below a
-// recorded position every visit happened before anything above it was
-// assigned, so no watch parked below the cut relies on a satisfier above
-// it. The entries between the cut and end go too; they were consequences,
-// so dropping them is sound, and one the watches do not derive again
-// costs the next search at most a decision.
-func (s *Solver) cutRoot(end int) {
-	if end >= len(s.trail) {
-		return
-	}
-	i := len(s.rootCuts)
-	for i > 0 && s.rootCuts[i-1] > end {
-		i--
-	}
-	cut := 0
-	if i > 0 {
-		cut = s.rootCuts[i-1]
-	}
-	s.rootCuts = s.rootCuts[:i]
-	s.unwindTrail(cut)
-	for i := range s.frames {
-		if s.frames[i].mark > cut {
-			s.frames[i].mark = cut
 		}
 	}
 }

@@ -118,8 +118,29 @@ func (st *scriptState) checkSolve(t *testing.T, s *Solver, opt Options, label st
 	}
 }
 
-// runScript drives one random frame script against one base formula.
-func runScript(t *testing.T, rng *rand.Rand, q *qbf.QBF, opt Options, ops int, label string) {
+// scriptOp is one step of a session script: a push, a pop, an AddClause of
+// lits, or an Assume of lits[0]. solve marks a step followed by a checked
+// Solve.
+type scriptOp struct {
+	kind  opKind
+	lits  qbf.Clause
+	solve bool
+}
+
+type opKind uint8
+
+const (
+	opPush opKind = iota
+	opPop
+	opAdd
+	opAssume
+)
+
+// runOps drives one session script against one base formula. Every Solve —
+// the initial one, each step marked solve, and a final one — is checked
+// against a fresh solve and the oracle (checkSolve). A pop at depth 0 must
+// fail with ErrNoFrame.
+func runOps(t *testing.T, q *qbf.QBF, opt Options, ops []scriptOp, label string) {
 	t.Helper()
 	opt.Incremental = true
 	s, err := NewSolver(q, opt)
@@ -128,44 +149,80 @@ func runScript(t *testing.T, rng *rand.Rand, q *qbf.QBF, opt Options, ops int, l
 	}
 	st := newScriptState(q)
 	st.checkSolve(t, s, opt, label+" initial")
-	for op := 0; op < ops; op++ {
-		olabel := fmt.Sprintf("%s op %d", label, op)
-		switch r := rng.Intn(10); {
-		case r < 3: // push
+	for i, o := range ops {
+		olabel := fmt.Sprintf("%s op %d", label, i)
+		top := len(st.stack) - 1
+		switch o.kind {
+		case opPush:
 			d, err := s.Push()
 			if err != nil || d != len(st.stack) {
 				t.Fatalf("%s: Push depth=%d err=%v, want depth %d", olabel, d, err, len(st.stack))
 			}
 			st.stack = append(st.stack, nil)
-		case r < 5: // pop (or no-op at depth 0)
-			if len(st.stack) == 1 {
+		case opPop:
+			if top == 0 {
 				if _, err := s.Pop(); !errors.Is(err, ErrNoFrame) {
 					t.Fatalf("%s: Pop at depth 0: err=%v, want ErrNoFrame", olabel, err)
 				}
-				continue
+				break
 			}
 			d, err := s.Pop()
-			if err != nil || d != len(st.stack)-2 {
-				t.Fatalf("%s: Pop depth=%d err=%v, want depth %d", olabel, d, err, len(st.stack)-2)
+			if err != nil || d != top-1 {
+				t.Fatalf("%s: Pop depth=%d err=%v, want depth %d", olabel, d, err, top-1)
 			}
-			st.stack = st.stack[:len(st.stack)-1]
-		case r < 8: // add a random clause
-			c := st.randomClause(rng)
-			if err := s.AddClause(c); err != nil {
-				t.Fatalf("%s: AddClause(%v): %v", olabel, c, err)
+			st.stack = st.stack[:top]
+		case opAdd:
+			if err := s.AddClause(o.lits); err != nil {
+				t.Fatalf("%s: AddClause(%v): %v", olabel, o.lits, err)
 			}
-			top := len(st.stack) - 1
-			st.stack[top] = append(st.stack[top], c)
-		default: // assume a random literal
-			c := st.randomClause(rng)[:1]
-			if err := s.Assume(c[0]); err != nil {
-				t.Fatalf("%s: Assume(%v): %v", olabel, c[0], err)
+			st.stack[top] = append(st.stack[top], o.lits)
+		case opAssume:
+			if err := s.Assume(o.lits[0]); err != nil {
+				t.Fatalf("%s: Assume(%v): %v", olabel, o.lits[0], err)
 			}
-			top := len(st.stack) - 1
-			st.stack[top] = append(st.stack[top], c)
+			st.stack[top] = append(st.stack[top], o.lits[:1])
 		}
-		st.checkSolve(t, s, opt, olabel)
+		if o.solve {
+			st.checkSolve(t, s, opt, olabel)
+		}
 	}
+	st.checkSolve(t, s, opt, label+" final")
+}
+
+// scriptOps draws a random frame script over q's variables: pushes, pops,
+// clause adds and assumptions of any bound literal, each followed by a
+// Solve (a pop at depth 0 is not).
+func scriptOps(rng *rand.Rand, q *qbf.QBF, n int) []scriptOp {
+	st := newScriptState(q)
+	depth := 0
+	ops := make([]scriptOp, 0, n)
+	for i := 0; i < n; i++ {
+		o := scriptOp{solve: true}
+		switch r := rng.Intn(10); {
+		case r < 3:
+			o.kind = opPush
+			depth++
+		case r < 5:
+			o.kind = opPop
+			if depth == 0 {
+				o.solve = false
+			} else {
+				depth--
+			}
+		case r < 8:
+			o.kind, o.lits = opAdd, st.randomClause(rng)
+		default:
+			o.kind, o.lits = opAssume, st.randomClause(rng)[:1]
+		}
+		ops = append(ops, o)
+	}
+	return ops
+}
+
+// runScript drives one random frame script against one base formula.
+func runScript(t *testing.T, rng *rand.Rand, q *qbf.QBF, opt Options, ops int, label string) {
+	t.Helper()
+	runOps(t, q, opt, scriptOps(rng, q, ops), label)
 }
 
 // TestIncrementalMetamorphicTrees: random non-prenex trees under random
@@ -455,49 +512,33 @@ func rootLits(q *qbf.QBF, bound []qbf.Var) []qbf.Lit {
 	return out
 }
 
-// runRootScript drives one random script dominated by root assumptions.
-// Root literals are assumed in both polarities, and a third of them repeat
-// an earlier assumption or its complement. AddClause runs in between, so
-// dropAllCubes and invalidatePures unwind asserted assumptions, and a
-// quarter of the ops are not followed by a Solve, so several changes meet
-// one search.
-func runRootScript(t *testing.T, rng *rand.Rand, q *qbf.QBF, opt Options, ops int, label string) {
-	t.Helper()
-	opt.Incremental = true
-	s, err := NewSolver(q, opt)
-	if err != nil {
-		t.Fatalf("%s: NewSolver: %v", label, err)
-	}
+// rootScriptOps draws a random script dominated by root assumptions. Root
+// literals are assumed in both polarities, and a third of them repeat an
+// earlier assumption or its complement. AddClause runs in between, so the
+// level 0 that Solve rebuilds changes under the assumptions, and a quarter
+// of the ops are not followed by a Solve, so several changes meet one
+// search.
+func rootScriptOps(rng *rand.Rand, q *qbf.QBF, n int) []scriptOp {
 	st := newScriptState(q)
 	roots := rootLits(q, st.bound)
 	var assumed []qbf.Lit
-	st.checkSolve(t, s, opt, label+" initial")
-	for op := 0; op < ops; op++ {
-		olabel := fmt.Sprintf("%s op %d", label, op)
+	depth := 0
+	ops := make([]scriptOp, 0, n)
+	for i := 0; i < n; i++ {
+		var o scriptOp
 		switch r := rng.Intn(20); {
 		case r < 4:
-			if _, err := s.Push(); err != nil {
-				t.Fatalf("%s: Push: %v", olabel, err)
-			}
-			st.stack = append(st.stack, nil)
+			o.kind = opPush
+			depth++
 		case r < 7:
-			if len(st.stack) == 1 {
-				if _, err := s.Pop(); !errors.Is(err, ErrNoFrame) {
-					t.Fatalf("%s: Pop at depth 0: err=%v, want ErrNoFrame", olabel, err)
-				}
+			o.kind = opPop
+			if depth == 0 {
+				ops = append(ops, o)
 				continue
 			}
-			if _, err := s.Pop(); err != nil {
-				t.Fatalf("%s: Pop: %v", olabel, err)
-			}
-			st.stack = st.stack[:len(st.stack)-1]
+			depth--
 		case r < 10:
-			c := st.randomClause(rng)
-			if err := s.AddClause(c); err != nil {
-				t.Fatalf("%s: AddClause(%v): %v", olabel, c, err)
-			}
-			top := len(st.stack) - 1
-			st.stack[top] = append(st.stack[top], c)
+			o.kind, o.lits = opAdd, st.randomClause(rng)
 		default:
 			var l qbf.Lit
 			switch {
@@ -511,18 +552,20 @@ func runRootScript(t *testing.T, rng *rand.Rand, q *qbf.QBF, opt Options, ops in
 			default:
 				l = roots[rng.Intn(len(roots))]
 			}
-			if err := s.Assume(l); err != nil {
-				t.Fatalf("%s: Assume(%v): %v", olabel, l, err)
-			}
 			assumed = append(assumed, l)
-			top := len(st.stack) - 1
-			st.stack[top] = append(st.stack[top], qbf.Clause{l})
+			o.kind, o.lits = opAssume, qbf.Clause{l}
 		}
-		if rng.Intn(4) != 0 {
-			st.checkSolve(t, s, opt, olabel)
-		}
+		o.solve = rng.Intn(4) != 0
+		ops = append(ops, o)
 	}
-	st.checkSolve(t, s, opt, label+" final")
+	return ops
+}
+
+// runRootScript drives one random script dominated by root assumptions
+// (rootScriptOps).
+func runRootScript(t *testing.T, rng *rand.Rand, q *qbf.QBF, opt Options, ops int, label string) {
+	t.Helper()
+	runOps(t, q, opt, rootScriptOps(rng, q, ops), label)
 }
 
 // randomDefQBF draws a true-leaning formula whose search has to learn
@@ -877,16 +920,17 @@ func TestIncrementalWitnessAfterSessionOps(t *testing.T) {
 	}
 }
 
-// TestIncrementalRootCutKeepsWatches replays a session whose AddClause
-// cuts the level-0 trail just after a cube-propagated universal. With 1
-// assumed, a learned clause (¬1 ∨ ¬2) forces ¬2, and before ¬2 is visited
-// a learned cube forces ¬3, so the visit leaves (5 ∨ ¬3 ∨ 2) parked on
-// the false 2 behind the true ¬3. Dropping the cubes retracts ¬3; a cut
-// right there would leave that clause watching a false existential and an
-// unassigned universal, blind to the ¬5 that the added unit clause then
-// forces — a silent conflict the deep checker reports under -tags
-// qbfdebug. Session operations cut only at recorded safe positions
-// (cutRoot).
+// TestIncrementalRootCutKeepsWatches replays a session in which a cube
+// forces a universal at level 0 between a falsified watch and its visit.
+// With 1 assumed, a learned clause (¬1 ∨ ¬2) forces ¬2, and before ¬2 is
+// visited a learned cube forces ¬3, so the visit leaves (5 ∨ ¬3 ∨ 2)
+// parked on the false 2 behind the true ¬3. The AddClause of the unit
+// clause (¬5) then drops the cubes. An operation that retracted ¬3 but kept
+// ¬2 would leave that clause watching a false existential and an
+// unassigned universal, blind to the ¬5 the unit forces: a silent conflict
+// the deep checker reports under -tags qbfdebug. Every session operation
+// unwinds the whole trail, so ¬2 and ¬3 leave together and the next Solve
+// rebuilds level 0.
 func TestIncrementalRootCutKeepsWatches(t *testing.T) {
 	p := qbf.NewPrefix(6)
 	x := p.AddBlock(nil, qbf.Exists, 1, 2)
@@ -919,6 +963,20 @@ func TestIncrementalRootCutKeepsWatches(t *testing.T) {
 	step(False, push, assume(2)) // learns (¬1 ∨ ¬2)
 	step(True, pop, assume(1))   // ¬2 and the cube's ¬3 at level 0
 	step(False, func() error { return s.AddClause(mkClause(-5)) })
+}
+
+// TestIncrementalRuntimeClauseWatches replays the script of seed 125610.
+// After its first Solve the level-0 trail is 2 (pure), ¬1, ¬5. The
+// AddClause(3 ∨ 5 ∨ 4) that follows, placed under that assignment, would
+// watch the universals 3 and 4, since 5 is false. Assume(¬2) then retracts
+// the pure 2 and with it the whole level-0 trail, and the deep checker
+// reports that "unsatisfied original clause 86 watches no unassigned
+// existential". Every session operation starts from the empty trail, so
+// the clause is placed, and watches 5, under the empty assignment.
+func TestIncrementalRuntimeClauseWatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(125610))
+	q := randomDefQBF(rng, 1)
+	runRootScript(t, rng, q, Options{Mode: ModePartialOrder, CheckInvariants: true}, 16, "seed 125610")
 }
 
 // TestPopLinearFrame pushes a frame, adds 200k clauses (x1 ∨ xi) to it and
@@ -955,5 +1013,43 @@ func TestPopLinearFrame(t *testing.T) {
 	}
 	if v := s.Solve(context.Background()); v != True {
 		t.Fatalf("after Pop: %v, want TRUE", v)
+	}
+}
+
+// TestPopLinearEmptyFrames adds 100k clauses (x1 ∨ xi) at depth 0, then
+// pushes and pops 100k empty frames. A Pop that walked every runtime
+// original and learned constraint to find the ones tagged with its frame
+// would take minutes; Pop visits only what its frame holds.
+func TestPopLinearEmptyFrames(t *testing.T) {
+	const n = 100_000
+	vars := make([]qbf.Var, n+1)
+	for i := range vars {
+		vars[i] = qbf.VarOf(i + 1)
+	}
+	p := qbf.NewPrenexPrefix(n+1, qbf.Run{Quant: qbf.Exists, Vars: vars})
+	s, err := NewSolver(qbf.New(p, []qbf.Clause{mkClause(1, 2)}), Options{Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineartest.Within(t, "100k AddClause and 100k empty Push/Pop pairs", func() {
+		for _, v := range vars[1:] {
+			if err = s.AddClause(qbf.Clause{1, v.PosLit()}); err != nil {
+				return
+			}
+		}
+		for i := 0; i < n && err == nil; i++ {
+			if _, err = s.Push(); err == nil {
+				_, err = s.Pop()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.runtimeOrig) != n || s.FrameDepth() != 0 {
+		t.Fatalf("%d runtime originals at depth %d, want %d at depth 0", len(s.runtimeOrig), s.FrameDepth(), n)
+	}
+	if v := s.Solve(context.Background()); v != True {
+		t.Fatalf("%v, want TRUE", v)
 	}
 }

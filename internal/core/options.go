@@ -65,9 +65,8 @@ type Options struct {
 	// incremental.go). Construction differs in one way: a formula that is
 	// trivially decided at build time keeps a fully initialized solver (so
 	// later AddClause calls can un-trivialize it). Root-level pure-literal
-	// fixing stays on: AddClause first unwinds every root pure assignment
-	// whose variable the incoming clause mentions (invalidatePures), and
-	// Pop only shrinks the occurrence sets, so purity is never stale.
+	// fixing stays on: every session operation unwinds the whole trail, so
+	// the next Solve judges purity against the formula it solves.
 	Incremental bool
 
 	// DisableClauseLearning turns off nogood learning; conflicts then

@@ -20,43 +20,14 @@ const (
 
 // propagateAll runs unit propagation (clauses and cubes) to fixpoint via
 // the watched-literal engine (watch.go), returning the first conflict or
-// solution found. Under Options.Incremental, clauses added since the last
-// fixpoint are first woken by a full scan — their watcher entries were
-// installed against an assignment the watch machinery never observed
-// changing, so an install-time unit or conflict would otherwise be silent.
+// solution found.
 //
 //qbf:hotpath
 func (s *Solver) propagateAll() (event, int) {
-	if len(s.wakeRefs) > 0 {
-		if ev, ci := s.drainWakes(); ev != evNone {
-			return ev, ci
-		}
-	}
 	if s.numUnsatOriginal == 0 {
 		return evSolution, -1
 	}
 	return s.propagateWatched()
-}
-
-// drainWakes scans every pending runtime-added clause against the actual
-// variable values. A unit wake assigns its forced literal (dequeued by the
-// caller's watcher loop); the first conflict becomes the fixpoint's event,
-// and the reporting clause stays queued — events are re-derived on the next
-// propagateAll until a frame operation defuses the clause or the search
-// ends. Deleted refs (a popped frame) are dropped.
-func (s *Solver) drainWakes() (event, int) {
-	for i := 0; i < len(s.wakeRefs); i++ {
-		ci := s.wakeRefs[i]
-		if s.ar.deleted(ci) {
-			continue
-		}
-		if ev, eci := s.scanState(ci); ev != evNone {
-			s.wakeRefs = append(s.wakeRefs[:0], s.wakeRefs[i:]...)
-			return ev, eci
-		}
-	}
-	s.wakeRefs = s.wakeRefs[:0]
-	return evNone, -1
 }
 
 // clauseSatisfied updates the pure-literal occurrence counts when an
@@ -85,52 +56,6 @@ func (s *Solver) clauseUnsatisfied(ci int) {
 	}
 }
 
-// scanState derives a clause's state from the actual variable values
-// alone: it enqueues the forced literal when the clause is unit and
-// reports a conflict when it is contradictory. Because it never trusts
-// cached counters or watch positions, callers may use it on clauses whose
-// incremental state is stale — the runtime-added and rewoken clauses of
-// the incremental session path (wakeRefs holds no cubes); a stale watch can
-// at worst defer an event to the visit that repairs it, never fabricate
-// one.
-//
-//qbf:hotpath
-func (s *Solver) scanState(ci int) (event, int) {
-	n := s.ar.size(ci)
-	var e code
-	undefE := 0
-	for k := 0; k < n; k++ {
-		m := s.ar.lit(ci, k)
-		switch s.val[m] {
-		case vTrue:
-			return evNone, -1
-		case undef:
-			if s.quant[m.v()] == qbf.Exists {
-				undefE++
-				if undefE > 1 {
-					return evNone, -1
-				}
-				e = m
-			}
-		}
-	}
-	if undefE == 0 {
-		// Residual clause has no existential literal: contradictory
-		// under Lemma 4.
-		return evConflict, ci
-	}
-	// Candidate unit (Lemma 5): e is forced unless some unassigned
-	// universal m of the clause has m ≺ e.
-	for k := 0; k < n; k++ {
-		m := s.ar.lit(ci, k)
-		if m != e && s.val[m] == undef && s.before(m.v(), e.v()) {
-			return evNone, -1
-		}
-	}
-	s.assign(e, reasonConstraint, ci)
-	return evNone, -1
-}
-
 // fixPures assigns pure (monotone) literals: an existential literal l with
 // l̄ absent from the residual original matrix, or a universal literal l
 // absent itself (Section III). Purity is judged against original clauses
@@ -143,11 +68,8 @@ func (s *Solver) fixPures() bool {
 		return false
 	}
 	// Root-level pure assignments are valid in incremental sessions too:
-	// purity can only be broken by a clause mentioning the variable, Pop
-	// only shrinks the occurrence sets, and AddClause unwinds any root
-	// pure assignment whose variable the incoming clause mentions
-	// (invalidatePures) before installing it, as a root Assume does for
-	// its own variable.
+	// every session operation unwinds the whole trail (beginOp), so each
+	// Solve judges purity against the occurrence sets it searches.
 	assigned := false
 	for len(s.pureCand) > 0 {
 		v := s.pureCand[len(s.pureCand)-1]
@@ -182,13 +104,22 @@ func (s *Solver) fixPures() bool {
 // depended on (0 outside incremental sessions, and always 0 for cubes: a
 // cube is an implicant of the current matrix, and popping a frame only
 // shrinks the matrix, so every pop preserves it — see incremental.go for
-// why AddClause, not Pop, invalidates cubes). The caller must ensure the
-// propagation queue is drained (qhead == len(trail)).
+// why AddClause, not Pop, invalidates cubes); a clause with a frame above 0
+// joins that frame's learned list, which Pop drops. A unit joins the units
+// list that a session's Solve rebuilds level 0 from. The caller must
+// ensure the propagation queue is drained (qhead == len(trail)).
 func (s *Solver) addLearned(lits []code, isCube bool, frame int) int {
 	s.checkLearnedConstraint(lits, isCube)
 	id := s.ar.alloc(lits, isCube, true)
 	s.ar.setFrame(id, frame)
 	s.initWatches(id)
+	if len(lits) == 1 {
+		s.units = append(s.units, id)
+	}
+	if frame > 0 {
+		fr := &s.frames[frame-1]
+		fr.learned = append(fr.learned, id)
+	}
 	for _, l := range lits {
 		s.counter[l]++
 	}
@@ -295,7 +226,7 @@ func (s *Solver) dropLearned(ci int) {
 // compactLearned slides the live learned constraints over the deleted ones
 // (construction-time originals never move), then rebinds every structure
 // holding arena refs: occurrence lists, watcher lists, the trail reasons,
-// the incremental wake queue, the per-frame clause lists, and the
+// the units list, the per-frame clause and learned lists, and the
 // satisfied-clause stack. Deleted refs are purged from the lists first —
 // after compaction their targets no longer exist. Callers must ensure no
 // conflict/solution event is pending (the same safe-point contract as
@@ -328,15 +259,19 @@ func (s *Solver) compactLearned() {
 	}
 	purge(s.watchCl)
 	purge(s.watchCu)
-	if len(s.wakeRefs) > 0 {
+	live := func(refs []int) []int {
 		w := 0
-		for _, ci := range s.wakeRefs {
+		for _, ci := range refs {
 			if !s.ar.deleted(ci) {
-				s.wakeRefs[w] = ci
+				refs[w] = ci
 				w++
 			}
 		}
-		s.wakeRefs = s.wakeRefs[:w]
+		return refs[:w]
+	}
+	s.units = live(s.units)
+	for fi := range s.frames {
+		s.frames[fi].learned = live(s.frames[fi].learned)
 	}
 
 	olds, news := s.ar.compactFrom(s.origEnd)
@@ -361,23 +296,22 @@ func (s *Solver) compactLearned() {
 				s.reasonC[v] = int(rebind(int32(s.reasonC[v]), olds, news))
 			}
 		}
-		for i := range s.wakeRefs {
-			s.wakeRefs[i] = int(rebind(int32(s.wakeRefs[i]), olds, news))
+		rebindRefs := func(refs []int) {
+			for i := range refs {
+				refs[i] = int(rebind(int32(refs[i]), olds, news))
+			}
 		}
+		rebindRefs(s.units)
 		// Frame clause lists hold only live refs: frame originals are
 		// deleted exclusively by the Pop that discards their list. The
 		// runtime-original lists are likewise all-live (retractFrame cuts
 		// them eagerly). Rebinding in place keeps every list's order, so
 		// the suffix property retractFrame relies on survives.
 		for fi := range s.frames {
-			cl := s.frames[fi].clauses
-			for j := range cl {
-				cl[j] = int(rebind(int32(cl[j]), olds, news))
-			}
+			rebindRefs(s.frames[fi].clauses)
+			rebindRefs(s.frames[fi].learned)
 		}
-		for i := range s.runtimeOrig {
-			s.runtimeOrig[i] = int(rebind(int32(s.runtimeOrig[i]), olds, news))
-		}
+		rebindRefs(s.runtimeOrig)
 		for i := range s.coverRuntime {
 			s.coverRuntime[i] = rebind(s.coverRuntime[i], olds, news)
 		}

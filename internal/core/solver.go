@@ -132,12 +132,11 @@ type Solver struct {
 	pureCand []uint32 // variables
 
 	// Heuristic state (see heuristic.go).
-	counter     []int // per literal: occurrences in active constraints
-	lastCounter []int
-	score       []float64
-	blockBonus  []float64
-	scoreTicks  int
-	scoreInc    float64
+	counter    []int // per literal: occurrences in active constraints
+	score      []float64
+	blockBonus []float64
+	scoreTicks int
+	scoreInc   float64
 
 	// Restart state (Luby sequence).
 	restartEvents int64 // conflicts+solutions since the last restart
@@ -152,9 +151,9 @@ type Solver struct {
 	// frames is the stack of open assumption frames; falseFrom is the
 	// shallowest frame depth at which an added clause universally reduced
 	// to a contradiction (-1: none), making the formula false while that
-	// frame lives; wakeRefs holds runtime-added clauses whose state against
-	// the current assignment has not been scanned yet — the next
-	// propagateAll drains them before trusting the watcher tables.
+	// frame lives. units lists the unit constraints above origEnd — runtime
+	// unit clauses and learned units — that solve asserts when it rebuilds
+	// level 0 (assertRoot); deleted refs stay until compaction purges them.
 	// runtimeOrig lists the live runtime-added original clauses (which sit
 	// above origEnd, interleaved with learned constraints), so matrix-wide
 	// walks like coverCube reach them without scanning the learned region.
@@ -166,17 +165,14 @@ type Solver struct {
 	// falseDepth is the frame depth the current False verdict was derived
 	// at; modelGone marks the terminal assignment of a True verdict as
 	// unwound by a session operation, so Witness has nothing to read.
-	// rootCuts lists, increasing, the level-0 trail lengths at which
-	// session operations may cut the level-0 trail (cutRoot).
 	frames      []frame
 	falseFrom   int
-	wakeRefs    []int
+	units       []int
 	runtimeOrig []int
 	opDirty     bool
 	assumps     []assumption
 	falseDepth  int
 	modelGone   bool
-	rootCuts    []int
 
 	ws       workSet // reusable analysis working set
 	stampGen uint64  // last reduceSet generation; block stamps compare against it
@@ -261,25 +257,24 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 	}
 
 	s := &Solver{
-		opt:         opt,
-		nVars:       n,
-		quant:       make([]qbf.Quant, n+1),
-		sd:          make([]int, n+1),
-		sf:          make([]int, n+1),
-		plevel:      make([]int, n+1),
-		blockOf:     make([]int, n+1),
-		activeOcc:   make([]int, 2*(n+1)),
-		val:         make([]int8, 2*(n+1)),
-		dlevel:      make([]int, n+1),
-		reason:      make([]reasonKind, n+1),
-		reasonC:     make([]int, n+1),
-		trailPos:    make([]int, n+1),
-		counter:     make([]int, 2*(n+1)),
-		lastCounter: make([]int, 2*(n+1)),
-		score:       make([]float64, 2*(n+1)),
-		watchCu:     make([][]watcher, 2*(n+1)),
-		trivial:     Unknown,
-		falseFrom:   -1,
+		opt:       opt,
+		nVars:     n,
+		quant:     make([]qbf.Quant, n+1),
+		sd:        make([]int, n+1),
+		sf:        make([]int, n+1),
+		plevel:    make([]int, n+1),
+		blockOf:   make([]int, n+1),
+		activeOcc: make([]int, 2*(n+1)),
+		val:       make([]int8, 2*(n+1)),
+		dlevel:    make([]int, n+1),
+		reason:    make([]reasonKind, n+1),
+		reasonC:   make([]int, n+1),
+		trailPos:  make([]int, n+1),
+		counter:   make([]int, 2*(n+1)),
+		score:     make([]float64, 2*(n+1)),
+		watchCu:   make([][]watcher, 2*(n+1)),
+		trivial:   Unknown,
+		falseFrom: -1,
 	}
 
 	// Variables within 1..n that are bound by no block and occur in no
@@ -660,13 +655,10 @@ func (s *Solver) solve() Verdict {
 		// clears the record, ops reset lastResult).
 		return False
 	}
-	if s.level == 0 && s.qhead == len(s.trail) && s.opt.Incremental {
-		s.noteRootCut()
-	}
-	if !s.assertAssumptions() {
-		// A root assumption is false on the level-0 trail, which only
-		// truth-preserving steps built: the formula is false under the
-		// assumptions.
+	if !s.assertRoot() {
+		// A root assumption is false once the units are asserted, and
+		// every unit is a consequence of the formula: the formula is false
+		// under the assumptions.
 		return False
 	}
 
@@ -707,9 +699,6 @@ func (s *Solver) solve() Verdict {
 		}
 		if ev != evNone {
 			continue
-		}
-		if s.level == 0 && s.opt.Incremental {
-			s.noteRootCut()
 		}
 		s.deepCheck()
 		if s.fixPures() {
@@ -799,8 +788,8 @@ func (s *Solver) backtrack(target int) {
 // every per-literal effect: the original clauses the popped literals
 // satisfied return to the residual matrix, pure candidates are requeued,
 // and the block bookkeeping is restored. It is the shared inner loop of
-// backtrack and of the incremental frame operations, which unwind within
-// level 0 (incremental.go).
+// backtrack and of the session operations, which unwind level 0 too
+// (beginOp, incremental.go).
 func (s *Solver) unwindTrail(end int) {
 	s.unsatisfyFrom(end)
 	for i := len(s.trail) - 1; i >= end; i-- {

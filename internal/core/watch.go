@@ -1,11 +1,6 @@
 package core
 
-import (
-	"slices"
-	"sort"
-
-	"repro/internal/qbf"
-)
+import "repro/internal/qbf"
 
 // This file is the quantifier-aware watched-literal propagation engine. It
 // generalizes the classic two-watched-literal scheme to QCDCL over a
@@ -130,20 +125,6 @@ func (s *Solver) unsatisfyFrom(end int) {
 		st = st[:len(st)-1]
 	}
 	s.satStack = st
-}
-
-// satInsert tags the original clause ci, which a literal already dequeued
-// satisfies, and inserts it into satStack after every clause with a tag up
-// to its own, keeping the stack sorted.
-func (s *Solver) satInsert(ci, tag int) {
-	s.ar.setSat(ci, tag)
-	s.satStack = slices.Insert(s.satStack, s.satSearch(tag+1), int32(ci))
-}
-
-// satSearch returns the first satStack index whose clause's satisfaction
-// tag is at least tag (len(satStack) if none is).
-func (s *Solver) satSearch(tag int) int {
-	return sort.Search(len(s.satStack), func(i int) bool { return s.ar.sat(int(s.satStack[i])) >= tag })
 }
 
 // visitWatches processes the constraints of primary quantifier q whose
@@ -292,7 +273,8 @@ func forced(m code, dormant int8) code {
 // use the quantifier dual, with the per-kind values of visitWatches. The
 // caller handles degenerate states itself: an asserting learned constraint
 // assigns its forced literal immediately, and a runtime-added clause is
-// woken by a full scan at the next fixpoint.
+// installed on the empty trail, where only a unit clause needs asserting
+// (solve's assertRoot).
 func (s *Solver) initWatches(ci int) {
 	s.placeWatches(ci)
 	s.attachWatches(ci)

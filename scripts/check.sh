@@ -12,7 +12,7 @@
 #                          cmd package across all build-tag variants, see
 #                          DESIGN.md §6)
 #   5. qbflint -gate hotpath
-#                          (L13: compiler escape analysis over the
+#                          (L13: compiler escape analysis over the nine
 #                          //qbf:hotpath-annotated functions in
 #                          internal/telemetry and internal/core; any
 #                          "escapes to heap" inside an annotated function
@@ -35,20 +35,22 @@
 #                          (the strategy/mode combo agreement suites, the
 #                          fixed-pool differential, the push/pop/assume
 #                          metamorphic suites — root assumptions
-#                          included — and the watcher fault-injection
-#                          stress under -tags qbfdebug -race with the
-#                          deep checker's watcher, frame and assumption
+#                          included — the seed-125610 session replay
+#                          (TestIncrementalRuntimeClauseWatches), and the
+#                          watcher fault-injection stress under -tags
+#                          qbfdebug -race with the deep checker's
+#                          watcher, frame, unit-list and assumption
 #                          invariants armed; any verdict disagreement
 #                          against the oracle fails. With them the deep
 #                          checker's own tests: it accepts healthy state
 #                          and recomputes each empty-matrix cover by the
 #                          full walk, and each check — value table, cover
 #                          lists, cover shortcut, the frame suffix
-#                          property Pop relies on, tags, assumptions —
-#                          fires on a planted violation. Also the
-#                          block-marking reductions against the pairwise
-#                          definition of universal/existential reduction
-#                          on random tree and prenex prefixes: any
+#                          property Pop relies on, tags, the unit list,
+#                          assumptions — fires on a planted violation.
+#                          Also the block-marking reductions against the
+#                          pairwise definition of universal/existential
+#                          reduction on random tree and prenex prefixes: any
 #                          difference in the dropped literals or their
 #                          order fails. The same core tests also run
 #                          inside steps 6-7; this step names them so a
@@ -76,8 +78,9 @@
 #                          on 200k-variable chains, NewSolver on a
 #                          200k-literal clause, buildSpec's prenex check
 #                          on a mode=to request, Pop of a 200k-clause
-#                          frame), each under a wall bound a quadratic
-#                          step misses by minutes, and
+#                          frame, 100k empty Push/Pop pairs over 100k
+#                          depth-0 clauses), each under a wall bound a
+#                          quadratic step misses by minutes, and
 #                          NewSolver's bytes on alternating chains of 1k
 #                          and 4k blocks, which must grow linearly; and the
 #                          allocation test: ReadString plus NewSolver on
@@ -87,8 +90,13 @@
 #                          service request decoder, the clause-arena
 #                          op-stream model, and the session journal reader
 #                          — arbitrary bytes must recover the longest
-#                          valid record prefix, never panic; the
-#                          checked-in corpora replay in step 6 already)
+#                          valid record prefix, never panic — and, under
+#                          -tags qbfdebug, session scripts: FuzzSession
+#                          decodes a formula and a push/pop/assume/add/
+#                          solve script from its input and checks every
+#                          Solve against a fresh solve and the oracle
+#                          with the deep checker on; the checked-in
+#                          corpora replay in step 6 already)
 #  10. tracing overhead    (builds with -tags qbfnotrace, then compares the
 #                          end-to-end BenchmarkSolveTraceOverhead between
 #                          the default build — hooks compiled in, tracer
@@ -160,15 +168,15 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame and assumption invariants) + deep-checker planted violations + search counts golden + construction path and Pop linear guards"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame, unit-list and assumption invariants) + deep-checker planted violations + search counts golden + construction path and Pop linear guards"
 go test -tags qbfdebug -race -count=1 \
-    -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise|TestDeepCheck' \
+    -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestIncrementalRuntimeClauseWatches|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise|TestDeepCheck' \
     ./internal/core/
 go test -tags qbfdebug -race -count=1 -short \
     -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
     ./internal/dia/
 go test -count=1 -run TestSearchCountsGolden ./internal/bench/
-go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat|TestPopLinearFrame' \
+go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat|TestPopLinearFrame|TestPopLinearEmptyFrames' \
     ./internal/core/
 go test -count=1 -run 'TestIsPrenexMatchesPairwise|TestValidateMatchesMapReference|TestIsPrenexLinear' \
     ./internal/qbf/
@@ -185,6 +193,9 @@ go test -run '^$' -fuzz=FuzzSolveRequest -fuzztime=5s ./internal/server/
 
 echo "==> go test -fuzz=FuzzJournal -fuzztime=5s ./internal/journal/"
 go test -run '^$' -fuzz=FuzzJournal -fuzztime=5s ./internal/journal/
+
+echo "==> go test -tags qbfdebug -fuzz=FuzzSession -fuzztime=5s ./internal/core/"
+go test -tags qbfdebug -run '^$' -fuzz=FuzzSession -fuzztime=5s ./internal/core/
 
 echo "==> go build -tags qbfnotrace ./..."
 go build -tags qbfnotrace ./...
