@@ -23,6 +23,15 @@ import (
 // QUBE(PO) invariant that |l| ≺ |l'| implies score(l) ≥ score(l'), while
 // on a SAT instance (a single existential block) every bonus is 0 and the
 // heuristic degrades to plain VSIDS.
+//
+// PO ranks by (level > 1, effective score, level, id): blocks at prefix
+// level 1, which have no guard, go before every guarded block. This
+// departs from Section VI (DESIGN.md §1). The bonus accumulates down every
+// alternation chain, so by score alone a deep literal of one subtree
+// outranks a level-1 literal of an incomparable subtree, which then sits
+// at a high decision level where every backjump undoes it. On a prenex
+// prefix the branchable set is always one level, so there the rule picks
+// the same literal as score order.
 
 const (
 	bonusRebuildPeriod = 16
@@ -66,9 +75,10 @@ func (s *Solver) rebuildBlockBonus() {
 	if s.opt.Mode != ModePartialOrder {
 		return
 	}
-	maxLit := make([]float64, len(s.blocks))
+	maxLit := s.maxLit
 	// Blocks are stored in DFS preorder, so children follow parents:
-	// iterate in reverse for a post-order pass.
+	// iterate in reverse for a post-order pass, which writes each child's
+	// maxLit before its parent reads it.
 	for i := len(s.blocks) - 1; i >= 0; i-- {
 		b := &s.blocks[i]
 		bonus := 0.0
@@ -110,39 +120,48 @@ func (s *Solver) initScores() {
 
 // pickBranch selects the next branching literal among the branchable
 // variables (those whose ≺-predecessors are all assigned), or reports that
-// none remain.
+// none remain. Candidates are ranked by a structural key (TO: the prefix
+// level; PO: whether the level is above 1), then by score, level and id.
 func (s *Solver) pickBranch() (code, bool) {
 	var (
 		found     bool
 		bestLit   code
+		bestKey   int
 		bestLevel int
 		bestScore float64
 	)
-	better := func(level int, score float64, l code) bool {
+	better := func(key, level int, score float64, l code) bool {
 		if !found {
 			return true
 		}
-		if s.opt.Mode == ModeTotalOrder {
-			if level != bestLevel {
-				return level < bestLevel
-			}
+		if key != bestKey {
+			return key < bestKey
 		}
 		if score != bestScore {
 			return score > bestScore
 		}
-		// Ties break toward the outermost block: the PO bonus makes an
-		// ancestor's score ≥ its descendants', so without this rule an
-		// exact tie could branch a descendant before its ≺-ancestor in
-		// the same chain, wasting the partial-order freedom.
+		// Exact ties. A ≺-descendant is never a candidate while one of
+		// its guards has unassigned variables (guardOpen > 0), so a tie
+		// is between incomparable blocks, which go outermost first, or
+		// between blocks of one level along a chain, which fall through
+		// to the id.
 		if level != bestLevel {
 			return level < bestLevel
 		}
 		return l.v() < bestLit.v()
 	}
+	po := s.opt.Mode == ModePartialOrder
 	for bi := range s.blocks {
 		b := &s.blocks[bi]
 		if b.unassigned == 0 || b.guardOpen > 0 {
 			continue
+		}
+		key := b.level
+		if po {
+			key = 0
+			if b.level > 1 {
+				key = 1
+			}
 		}
 		for _, v := range b.vars {
 			l := code(v) << 1
@@ -153,11 +172,11 @@ func (s *Solver) pickBranch() (code, bool) {
 			if n := s.score[l|1]; n > sc {
 				l, sc = l|1, n
 			}
-			if s.opt.Mode == ModePartialOrder {
+			if po {
 				sc += s.blockBonus[bi]
 			}
-			if better(b.level, sc, l) {
-				found, bestLit, bestLevel, bestScore = true, l, b.level, sc
+			if better(key, b.level, sc, l) {
+				found, bestLit, bestKey, bestLevel, bestScore = true, l, key, b.level, sc
 			}
 		}
 	}

@@ -189,3 +189,56 @@ func TestNewSolverRejectsBadInput(t *testing.T) {
 		t.Error("literal 0 must be rejected")
 	}
 }
+
+// TestPickBranchRootFirst pins PO's branching order: a level-1 block goes
+// before every guarded block whatever the scores, and among guarded
+// blocks the effective score decides, not the level. (TO needs a prenex
+// prefix, where the branchable set is always one level.)
+func TestPickBranchRootFirst(t *testing.T) {
+	// ∃x1 with three subtrees: the level-1 leaf ∃x2, ∀y3 ∃x4 and ∀y5 ∃x6.
+	p := qbf.NewPrefix(6)
+	r := p.AddBlock(nil, qbf.Exists, 1)
+	p.AddBlock(r, qbf.Exists, 2)
+	a := p.AddBlock(r, qbf.Forall, 3)
+	p.AddBlock(a, qbf.Exists, 4)
+	b := p.AddBlock(r, qbf.Forall, 5)
+	p.AddBlock(b, qbf.Exists, 6)
+	p.Finalize()
+	q := qbf.New(p, []qbf.Clause{{1, 2}, {-1, -2}, {1, 3, 4}, {-3, -4}, {-1, 5, 6}, {-5, -6}})
+	pick := func(decisions ...qbf.Lit) int {
+		t.Helper()
+		s, err := NewSolver(q, Options{Mode: ModePartialOrder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.score {
+			s.score[i] = 1
+		}
+		// x4 outscores x6, and both outscore the rest, so the bonus
+		// ranks y3 above y5 above x2.
+		s.score[enc(4)], s.score[enc(-4)] = 100, 100
+		s.score[enc(6)], s.score[enc(-6)] = 50, 50
+		s.rebuildBlockBonus()
+		for _, d := range decisions {
+			s.decide(enc(d))
+		}
+		l, ok := s.pickBranch()
+		if !ok {
+			t.Fatalf("after %v: no branch", decisions)
+		}
+		return l.lit().Var().Int()
+	}
+	for _, tc := range []struct {
+		decisions []qbf.Lit
+		want      int
+	}{
+		// x2 (level 1, score 1) against y3 (101) and y5 (51).
+		{[]qbf.Lit{1}, 2},
+		// x4 (level 3, score 100) against y5 (level 2, score 51).
+		{[]qbf.Lit{1, 2, 3}, 4},
+	} {
+		if got := pick(tc.decisions...); got != tc.want {
+			t.Errorf("after %v: branched on x%d, want x%d", tc.decisions, got, tc.want)
+		}
+	}
+}

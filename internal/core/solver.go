@@ -135,6 +135,7 @@ type Solver struct {
 	counter    []int // per literal: occurrences in active constraints
 	score      []float64
 	blockBonus []float64
+	maxLit     []float64 // per block, rebuildBlockBonus's working array
 	scoreTicks int
 	scoreInc   float64
 
@@ -288,6 +289,7 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 	pblocks := p.Blocks()
 	s.blocks = make([]blockInfo, len(pblocks))
 	s.blockBonus = make([]float64, len(pblocks))
+	s.maxLit = make([]float64, len(pblocks))
 	for i, b := range pblocks {
 		bi := blockInfo{
 			quant:      b.Quant,

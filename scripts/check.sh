@@ -67,7 +67,13 @@
 #                          its verdict and search counts compared with
 #                          internal/bench/testdata/search_counts.golden,
 #                          so a change that alters the search fails here
-#                          by name. Then the path from formula text to a
+#                          by name. With it TestPaperShape, the paper's
+#                          shape in decisions under the same node-limit
+#                          discipline: PO at most TO on the smoke DIA
+#                          suite and per model (dme, ring, semaphore) on
+#                          the default one, and below TO on the default
+#                          NCF hard corner (VAR 16, CLS/VAR >= 4,
+#                          LPC >= 4). Then the path from formula text to a
 #                          ready solver: NewSolver against the reference
 #                          pipeline (Clone, NormalizeMatrix, Validate,
 #                          BindFreeVars, ScopeConsistent, UniversalReduce)
@@ -168,14 +174,14 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame, unit-list and assumption invariants) + deep-checker planted violations + search counts golden + construction path and Pop linear guards"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame, unit-list and assumption invariants) + deep-checker planted violations + search counts golden + paper shape + construction path and Pop linear guards"
 go test -tags qbfdebug -race -count=1 \
     -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestIncrementalRuntimeClauseWatches|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise|TestDeepCheck' \
     ./internal/core/
 go test -tags qbfdebug -race -count=1 -short \
     -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
     ./internal/dia/
-go test -count=1 -run TestSearchCountsGolden ./internal/bench/
+go test -count=1 -run 'TestSearchCountsGolden|TestPaperShape' ./internal/bench/
 go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat|TestPopLinearFrame|TestPopLinearEmptyFrames' \
     ./internal/core/
 go test -count=1 -run 'TestIsPrenexMatchesPairwise|TestValidateMatchesMapReference|TestIsPrenexLinear' \
