@@ -9,6 +9,36 @@ import (
 	"repro/internal/qbf"
 )
 
+// ladderModels are the models whose incremental diameter ladders the
+// session tests run, DME(2) last.
+func ladderModels() []*models.Model {
+	return []*models.Model{
+		models.Counter(2),
+		models.Semaphore(1),
+		models.Semaphore(2),
+		models.Ring(3),
+		models.TwoBit(),
+		models.DME(2),
+	}
+}
+
+// sweepBase is one base of the variant sweep: step φk of m's ladder.
+type sweepBase struct {
+	m *models.Model
+	k int
+}
+
+// sweepBases are the variant sweep's bases, the slowest (counter3 φ4)
+// first.
+func sweepBases() []sweepBase {
+	return []sweepBase{
+		{models.Counter(3), 4},
+		{models.Semaphore(3), 2},
+		{models.DME(2), 1},
+		{models.DME(2), 2},
+	}
+}
+
 // TestIncrementalDiameterMatchesOneShot pins the incremental ladder against
 // both the one-shot PO driver and explicit BFS: same diameter, and the same
 // verdict at every intermediate step. The incremental session runs with
@@ -19,15 +49,9 @@ import (
 // per-Solve heuristic state leaked across steps.
 func TestIncrementalDiameterMatchesOneShot(t *testing.T) {
 	const maxLadderRatio = 1.5
-	cases := []*models.Model{
-		models.Counter(2),
-		models.Semaphore(1),
-		models.Semaphore(2),
-		models.Ring(3),
-		models.TwoBit(),
-	}
-	if !testing.Short() {
-		cases = append(cases, models.DME(2))
+	cases := ladderModels()
+	if testing.Short() {
+		cases = cases[:len(cases)-1] // DME(2) is the slowest ladder
 	}
 	var oneDecs, incDecs int64
 	for _, m := range cases {
@@ -81,15 +105,7 @@ func TestIncrementalDiameterMatchesOneShot(t *testing.T) {
 // bookkeeping is deep-checked at every fixpoint.
 func TestVariantSweepBeatsOneShot(t *testing.T) {
 	maxSweepDecisions := int64(14407)
-	bases := []struct {
-		m *models.Model
-		k int
-	}{
-		{models.Counter(3), 4},
-		{models.Semaphore(3), 2},
-		{models.DME(2), 1},
-		{models.DME(2), 2},
-	}
+	bases := sweepBases()
 	if testing.Short() {
 		bases = bases[1:] // counter3 φ4 is the slowest base
 		maxSweepDecisions = 626
