@@ -304,19 +304,18 @@ func (s *Solver) verdict(w *workSet, q qbf.Quant) (analysis, bool) {
 // assigned at the outermost level.
 //
 // A clause whose literals are all eReducible adds nothing (its true
-// literal is reducible), so the walk visits only the coverable lists:
-// coverBase, the construction-time originals in arena order, then
-// coverRuntime. Incremental sessions keep runtime-added original clauses
+// literal is reducible), so the walk visits only the frames' cover lists,
+// in depth order: the base's starts with the construction-time originals
+// in arena order. Incremental sessions keep runtime-added original clauses
 // above origEnd, interleaved with learned constraints; the cover must span
 // them too — a cube is an implicant of the whole current matrix. The
 // qbfdebug deep checker recomputes the cover by a full walk of every
 // original clause (checkCover).
 func (s *Solver) coverCube(w *workSet) {
-	for _, ci := range s.coverBase {
-		s.coverClause(w, int(ci))
-	}
-	for _, ci := range s.coverRuntime {
-		s.coverClause(w, int(ci))
+	for i := range s.frames {
+		for _, ci := range s.frames[i].cover {
+			s.coverClause(w, int(ci))
+		}
 	}
 	s.checkCover(w)
 }

@@ -167,9 +167,9 @@ func TestConstructionMatchesReference(t *testing.T) {
 					t.Fatalf("case %d %+v: clause %d is %v, reference %v\n%s", i, opt, k, got[k], w, in)
 				}
 			}
-			if s.trivial != wantV || (s.falseFrom == 0) != wantFalseBase {
-				t.Fatalf("case %d %+v: trivial %v falseFrom %d, reference %v %v\n%s",
-					i, opt, s.trivial, s.falseFrom, wantV, wantFalseBase, in)
+			if s.trivial != wantV || s.frames[0].contradiction != wantFalseBase {
+				t.Fatalf("case %d %+v: trivial %v base contradiction %v, reference %v %v\n%s",
+					i, opt, s.trivial, s.frames[0].contradiction, wantV, wantFalseBase, in)
 			}
 			seen["verdict "+wantV.String()]++
 			if wantFalseBase {

@@ -393,19 +393,18 @@ func (s *Solver) checkMatrixBookkeeping() {
 
 // checkFrames validates the incremental-session bookkeeping: every clause
 // a frame tracks is a live runtime original carrying that frame's depth as
-// its tag, learned tags are bounded by the live frame count, each frame's
-// learned list names exactly the live learned clauses tagged with its
-// depth (what Pop drops), learned cubes — implicants of the current
-// matrix, invalidated by any matrix growth — always carry tag 0, the units
-// list is exact (checkUnits), and the root assumptions are consistent with
-// the frames (checkAssumptions).
+// its tag, learned tags are bounded by the open depth, each frame above the
+// base lists exactly the live learned clauses tagged with its depth (what
+// Pop drops), learned cubes — implicants of the current matrix,
+// invalidated by any matrix growth — always carry tag 0, the units list is
+// exact (checkUnits), and the root assumptions are asserted
+// (checkAssumptions).
 func (s *Solver) checkFrames() {
-	invariant.Check(s.falseFrom >= -1 && s.falseFrom <= len(s.frames),
-		"core: falseFrom=%d with %d frames", s.falseFrom, len(s.frames))
+	invariant.Check(len(s.frames[0].learned) == 0, "core: the base frame lists learned clauses %v", s.frames[0].learned)
+	top := s.FrameDepth()
 	onList := make(map[int]int) // live ref on a frame's learned list → depth
-	for fi := range s.frames {
-		f := &s.frames[fi]
-		depth := fi + 1
+	for depth := range s.frames {
+		f := &s.frames[depth]
 		for _, ci := range f.clauses {
 			invariant.Check(ci >= s.origEnd && ci < s.ar.end(),
 				"core: frame %d tracks ref %d outside the runtime region", depth, ci)
@@ -430,8 +429,8 @@ func (s *Solver) checkFrames() {
 			continue
 		}
 		tag := s.ar.frame(ci)
-		invariant.Check(tag >= 0 && tag <= len(s.frames),
-			"core: constraint %d tagged frame %d with %d frames live", ci, tag, len(s.frames))
+		invariant.Check(tag >= 0 && tag <= top,
+			"core: constraint %d tagged frame %d with %d frames open", ci, tag, top)
 		if s.ar.isCube(ci) {
 			invariant.Check(tag == 0, "core: learned cube %d carries frame tag %d", ci, tag)
 		}
@@ -469,21 +468,18 @@ func (s *Solver) checkUnits() {
 }
 
 // checkAssumptions validates the root assumptions at a quiescent fixpoint:
-// their depths are non-decreasing and name open frames; every
-// reasonAssumption trail entry sits at level 0 and asserts a live
-// assumption (none of a popped frame remains); and every live assumption
+// every reasonAssumption trail entry sits at level 0 and asserts a live
+// assumption (none of a popped frame remains), and every live assumption
 // is true.
 func (s *Solver) checkAssumptions() {
-	live := make(map[qbf.Lit]bool, len(s.assumps))
-	prev := 0
-	for i, a := range s.assumps {
-		l := a.lit.lit()
-		invariant.Check(a.depth >= prev && a.depth <= len(s.frames),
-			"core: assumption %d (literal %d) has depth %d outside [%d,%d]", i, l, a.depth, prev, len(s.frames))
-		prev = a.depth
-		live[l] = true
-		invariant.Check(s.truth(l) == vTrue,
-			"core: live assumption %d (depth %d) is not true at a fixpoint", l, a.depth)
+	live := make(map[qbf.Lit]bool)
+	for depth := range s.frames {
+		for _, c := range s.frames[depth].assumed {
+			l := c.lit()
+			live[l] = true
+			invariant.Check(s.truth(l) == vTrue,
+				"core: live assumption %d (depth %d) is not true at a fixpoint", l, depth)
+		}
 	}
 	for i, c := range s.trail {
 		l := c.lit()
@@ -517,27 +513,20 @@ func (s *Solver) checkLearnedConstraint(codes []code, isCube bool) {
 }
 
 // checkRuntimeOrder validates the suffix property that lets Pop cut its
-// frame's clauses off the ends of the lists holding them (retractFrame):
-// runtimeOrig lists exactly the live runtime originals, with frame tags
-// that never decrease; each open frame's clause list is the run of
-// runtimeOrig entries carrying its depth, in the same order; and every
+// frame's clauses off the ends of the occurrence lists (retractFrame): the
+// frames' clause lists, read in depth order, name every live runtime
+// original once (checkFrames holds each to its frame's tag), and every
 // occurrence list holds the construction-time originals and then runtime
-// originals in runtimeOrig order. Together these make the deepest frame's
-// clauses the last entries of runtimeOrig and of every occurrence list
-// that holds them.
+// originals in that order. Together these make the deepest frame's
+// clauses the last entries of every occurrence list that holds them.
 func (s *Solver) checkRuntimeOrder() {
-	rank := make(map[int]int, len(s.runtimeOrig)) // ref → index in runtimeOrig
-	prevTag := 0
-	for i, ci := range s.runtimeOrig {
-		invariant.Check(ci >= s.origEnd && ci < s.ar.end() && !s.ar.deleted(ci) && !s.ar.learned(ci),
-			"core: runtimeOrig[%d]=%d is not a live runtime original", i, ci)
-		_, dup := rank[ci]
-		invariant.Check(!dup, "core: runtimeOrig holds clause %d twice", ci)
-		rank[ci] = i
-		tag := s.ar.frame(ci)
-		invariant.Check(tag >= prevTag,
-			"core: runtimeOrig[%d]=%d has frame tag %d after tag %d: the frame suffix property is broken", i, ci, tag, prevTag)
-		prevTag = tag
+	rank := make(map[int]int) // ref → index in the frames' clauses, in depth order
+	for depth := range s.frames {
+		for _, ci := range s.frames[depth].clauses {
+			_, dup := rank[ci]
+			invariant.Check(!dup, "core: the frames list runtime clause %d twice", ci)
+			rank[ci] = len(rank)
+		}
 	}
 	live := 0
 	for ci := s.origEnd; ci < s.ar.end(); ci = s.ar.next(ci) {
@@ -545,21 +534,10 @@ func (s *Solver) checkRuntimeOrder() {
 			live++
 		}
 	}
-	invariant.Check(live == len(s.runtimeOrig),
-		"core: %d live runtime originals, but runtimeOrig lists %d", live, len(s.runtimeOrig))
-	start := 0
-	for fi, f := range s.frames {
-		depth := fi + 1
-		for start < len(s.runtimeOrig) && s.ar.frame(s.runtimeOrig[start]) < depth {
-			start++
-		}
-		for j, ci := range f.clauses {
-			invariant.Check(start+j < len(s.runtimeOrig) && s.runtimeOrig[start+j] == ci,
-				"core: frame %d clause %d (ref %d) is not entry %d of runtimeOrig: the frame suffix property is broken", depth, j, ci, start+j)
-		}
-	}
+	invariant.Check(live == len(rank),
+		"core: %d live runtime originals, but the frames list %d", live, len(rank))
 	for li, occ := range s.occ {
-		prev := -1 // runtimeOrig index of the previous runtime entry
+		prev := -1 // install rank of the previous runtime entry
 		for j, ci32 := range occ {
 			ci := int(ci32)
 			if ci < s.origEnd {
@@ -576,10 +554,10 @@ func (s *Solver) checkRuntimeOrder() {
 	}
 }
 
-// checkCoverLists validates the two lists coverCube walks: coverBase holds
-// exactly the construction-time originals that have a literal which is not
-// eReducible, in arena order, and coverRuntime the runtime originals that
-// do, in runtimeOrig order.
+// checkCoverLists validates the lists coverCube walks: each frame's cover
+// list holds exactly its clauses that have a literal which is not
+// eReducible, in install order, the base's after the construction-time
+// originals that do, in arena order.
 func (s *Solver) checkCoverLists() {
 	hasCoverLit := func(ci int) bool {
 		for k, n := 0, s.ar.size(ci); k < n; k++ {
@@ -595,24 +573,25 @@ func (s *Solver) checkCoverLists() {
 			want = append(want, int32(ci))
 		}
 	}
-	invariant.Check(slices.Equal(want, s.coverBase),
-		"core: coverBase lists %v, but the coverable base clauses are %v", s.coverBase, want)
-	want = want[:0]
-	for _, ci := range s.runtimeOrig {
-		if hasCoverLit(ci) {
-			want = append(want, int32(ci))
+	for depth := range s.frames {
+		f := &s.frames[depth]
+		for _, ci := range f.clauses {
+			if hasCoverLit(ci) {
+				want = append(want, int32(ci))
+			}
 		}
+		invariant.Check(slices.Equal(want, f.cover),
+			"core: frame %d cover lists %v, but its coverable clauses are %v", depth, f.cover, want)
+		want = want[:0]
 	}
-	invariant.Check(slices.Equal(want, s.coverRuntime),
-		"core: coverRuntime lists %v, but the coverable runtime clauses are %v", s.coverRuntime, want)
 }
 
 // checkCover recomputes the cover coverCube just put into the fresh
 // working set w by the full walk: every live original clause, the base in
-// arena order and then runtimeOrig, each scanned for its best true literal
-// by the (class, pure, dlevel) key, and skipped when a true literal of it
-// is eReducible or already chosen. w must hold the same literals, added in
-// the same order.
+// arena order and then the frames' clauses in depth order, each scanned
+// for its best true literal by the (class, pure, dlevel) key, and skipped
+// when a true literal of it is eReducible or already chosen. w must hold
+// the same literals, added in the same order.
 func (s *Solver) checkCover(w *workSet) {
 	if !s.opt.CheckInvariants {
 		return
@@ -649,8 +628,10 @@ func (s *Solver) checkCover(w *workSet) {
 	for ci := 0; ci < s.origEnd; ci = s.ar.next(ci) {
 		walk(ci)
 	}
-	for _, ci := range s.runtimeOrig {
-		walk(ci)
+	for depth := range s.frames {
+		for _, ci := range s.frames[depth].clauses {
+			walk(ci)
+		}
 	}
 	got := make([]qbf.Lit, len(w.vars))
 	for i, v := range w.vars {

@@ -154,8 +154,9 @@ func TestDeepCheckCatchesCoverShortcutSkip(t *testing.T) {
 
 func TestDeepCheckCatchesCoverListDrift(t *testing.T) {
 	s := debugSolver(t)
-	s.coverBase = s.coverBase[1:] // the cover would skip the first clause
-	wantViolation(t, "coverBase lists", func() { s.deepCheck() })
+	base := &s.frames[0]
+	base.cover = base.cover[1:] // the cover would skip the first clause
+	wantViolation(t, "frame 0 cover lists", func() { s.deepCheck() })
 }
 
 // sessionSolver returns debugFormula as an incremental session holding the
@@ -193,9 +194,11 @@ func TestDeepCheckCatchesFrameSuffixBreak(t *testing.T) {
 
 func TestDeepCheckCatchesRuntimeOrderBreak(t *testing.T) {
 	s := sessionSolver(t)
-	r := s.runtimeOrig
-	r[0], r[1] = r[1], r[0] // the frame's clause before the depth-0 one
-	wantViolation(t, "frame suffix property is broken", func() { s.deepCheck() })
+	// Each clause on the other frame's list: Pop would cut the depth-0
+	// clause and keep the frame's.
+	base, top := s.frames[0].clauses, s.frames[1].clauses
+	base[0], top[0] = top[0], base[0]
+	wantViolation(t, "frame 0 tracks ref", func() { s.deepCheck() })
 }
 
 func TestDeepCheckCatchesBlockCorruption(t *testing.T) {
@@ -259,26 +262,14 @@ func assumedSolver(t *testing.T) *Solver {
 	if err := s.Assume(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.assumps) != 1 || !s.assertRoot() {
-		t.Fatalf("x1 was not taken as a root assumption: %v", s.assumps)
+	if len(s.frames[1].assumed) != 1 || !s.assertRoot() {
+		t.Fatalf("x1 was not taken as a root assumption: %v", s.frames[1].assumed)
 	}
 	if ev, _ := s.propagateAll(); ev != evNone {
 		t.Fatalf("asserting x1 raised event %d", ev)
 	}
 	s.deepCheck() // healthy
 	return s
-}
-
-func TestDeepCheckCatchesStaleAssumption(t *testing.T) {
-	s := assumedSolver(t)
-	stale := s.assumps
-	if _, err := s.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	s.deepCheck() // healthy: the Pop dropped the assumption and its entry
-	// A Pop that left its frame's assumption on the list.
-	s.assumps = stale
-	wantViolation(t, "depth 1 outside", func() { s.deepCheck() })
 }
 
 func TestDeepCheckCatchesStaleAssumptionEntry(t *testing.T) {
@@ -297,7 +288,7 @@ func TestDeepCheckCatchesStaleAssumptionEntry(t *testing.T) {
 func TestDeepCheckCatchesUnassertedAssumption(t *testing.T) {
 	s := assumedSolver(t)
 	// A live assumption that the fixpoint never asserted.
-	s.assumps = append(s.assumps, assumption{lit: enc(-2), depth: 1})
+	s.frames[1].assumed = append(s.frames[1].assumed, enc(-2))
 	wantViolation(t, "is not true at a fixpoint", func() { s.deepCheck() })
 }
 

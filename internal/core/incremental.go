@@ -17,15 +17,23 @@ import (
 // as a unit clause — must agree with the session verdict: the contract the
 // metamorphic suite (incremental_test.go) checks step by step.
 //
+// Solver.frames holds one record per depth: frames[0] is the base, never
+// popped, and frames[d] the d-th open Push. A record owns everything its
+// depth adds — runtime original clauses, their cover list, learned
+// clauses tagged with the depth, root assumptions and a contradiction
+// flag — so Pop drops the last record and nothing else has to be trimmed.
+// Read in depth order, the records' lists give the session's runtime
+// clauses, cover entries and assumptions in install order.
+//
 // Assume takes one of two paths:
 //
 //   - A root assumption: an existential literal whose block has no guards
 //     (no alternation separates it from the root), so the literal is
 //     ≺-minimal. Fixing such a variable leaves the matrix unchanged; it is
-//     the branch every search would open with. The literal goes on the
-//     depth-tagged assumption list (assumps), and solve asserts every live
-//     one at level 0 (reasonAssumption), after the unit constraints,
-//     before it searches; one already false there makes the answer False.
+//     the branch every search would open with. The literal goes on its
+//     frame's assumption list, and solve asserts every live one at level 0
+//     (reasonAssumption), after the unit constraints, before it searches;
+//     one already false there makes the answer False.
 //     An assumption is never a resolution pivot, so every learned clause
 //     and cube stays a consequence of the matrix alone and outlives the
 //     assumption.
@@ -64,9 +72,9 @@ import (
 // report them when the search falsifies them.
 //
 // A clause whose universal reduction is empty or existential-free is a
-// contradiction (Lemma 4) the moment it is added: falseFrom records the
-// shallowest frame depth that did this, Solve returns False while the
-// record lives, and the Pop of that depth clears it.
+// contradiction (Lemma 4) the moment it is added: it sets its frame's
+// contradiction flag, and Solve returns False while a frame with the flag
+// is open.
 //
 // Verdicts outlive the operations that cannot change them. Push changes
 // nothing; a Pop only removes constraints, so a True verdict stands;
@@ -74,22 +82,24 @@ import (
 // verdict also outlives the Pop of any frame opened after it was derived
 // (falseDepth): that frame held nothing the derivation used.
 
-// frame is one open assumption frame.
+// frame is what one frame depth adds to the formula (Solver.frames).
 type frame struct {
-	// clauses are the arena refs of the original clauses added at this
-	// depth, in install order, removed eagerly on Pop (retractFrame).
+	// clauses are the arena refs of the runtime original clauses added at
+	// this depth, in install order, removed eagerly on Pop (retractFrame).
 	clauses []int
+	// cover lists the clauses coverCube can take a literal from (coverable),
+	// in install order. The base's list starts with the construction-time
+	// originals, in arena order.
+	cover []int32
 	// learned are the arena refs of the learned clauses tagged with this
-	// depth, which Pop drops. A ref a reduction round deleted stays until
-	// the next compaction purges it.
+	// depth (above 0), which Pop drops. A ref a reduction round deleted
+	// stays until the next compaction purges it.
 	learned []int
-}
-
-// assumption is one live root assumption: a ≺-minimal existential literal
-// and the frame depth it was assumed at (0: for the rest of the session).
-type assumption struct {
-	lit   code
-	depth int
+	// assumed holds the root assumptions made at this depth, in Assume order.
+	assumed []code
+	// contradiction records that a clause added at this depth universally
+	// reduced to a contradiction: the formula is false while it lives.
+	contradiction bool
 }
 
 // ErrNotIncremental is returned by the session operations of a solver
@@ -116,7 +126,7 @@ func (s *Solver) beginOp() error {
 }
 
 // FrameDepth returns the number of open assumption frames.
-func (s *Solver) FrameDepth() int { return len(s.frames) }
+func (s *Solver) FrameDepth() int { return len(s.frames) - 1 }
 
 // Push opens a new assumption frame and returns the new depth. Clauses and
 // assumptions added while the frame is open are retracted by the matching
@@ -127,8 +137,8 @@ func (s *Solver) Push() (int, error) {
 		return 0, err
 	}
 	s.frames = append(s.frames, frame{})
-	s.emitEv(telemetry.KindFrame, 0, 0, int64(len(s.frames)))
-	return len(s.frames), nil
+	s.emitEv(telemetry.KindFrame, 0, 0, int64(s.FrameDepth()))
+	return s.FrameDepth(), nil
 }
 
 // Pop closes the deepest frame and returns the new depth: the frame's
@@ -144,14 +154,11 @@ func (s *Solver) Pop() (int, error) {
 	if err := s.beginOp(); err != nil {
 		return 0, err
 	}
-	d := len(s.frames)
+	d := s.FrameDepth()
 	if d == 0 {
 		return 0, ErrNoFrame
 	}
-	f := s.frames[d-1]
-	for len(s.assumps) > 0 && s.assumps[len(s.assumps)-1].depth == d {
-		s.assumps = s.assumps[:len(s.assumps)-1]
-	}
+	f := &s.frames[d]
 	s.retractFrame(f.clauses)
 	// Frame d is the deepest, so every learned clause tagged d or deeper
 	// is on its list.
@@ -160,24 +167,22 @@ func (s *Solver) Pop() (int, error) {
 			s.dropLearned(ci)
 		}
 	}
-	s.frames = s.frames[:d-1]
-	if s.falseFrom == d {
-		s.falseFrom = -1
-	}
+	*f = frame{}
+	s.frames = s.frames[:d]
 	if s.lastResult == False && d <= s.falseDepth {
 		s.lastResult = Unknown
 	}
 	if s.ar.wasted > 0 && 2*s.ar.wasted >= s.ar.end()-s.origEnd {
 		s.compactLearned()
 	}
-	s.emitEv(telemetry.KindFrame, 0, 1, int64(len(s.frames)))
-	return len(s.frames), nil
+	s.emitEv(telemetry.KindFrame, 0, 1, int64(d-1))
+	return d - 1, nil
 }
 
 // AddClause conjoins c to the formula at the current frame depth (depth 0:
 // permanently). The clause is universally reduced against the prefix
 // first; a reduction with no existential literal is a contradiction
-// (Lemma 4) recorded against the current depth, making Solve return False
+// (Lemma 4) recorded on the current frame, making Solve return False
 // until that frame pops. A tautological c is a no-op. Every literal must
 // use a variable bound by the prefix the solver was built over — the
 // prefix is fixed for the session — and the clause must be
@@ -217,7 +222,7 @@ func (s *Solver) AddClause(c qbf.Clause) error {
 	if s.lastResult == True {
 		s.lastResult = Unknown
 	}
-	depth := len(s.frames)
+	depth := s.FrameDepth()
 	s.reduceSet(w, qbf.Exists)
 	lits := w.slice()
 	hasE := false
@@ -228,9 +233,7 @@ func (s *Solver) AddClause(c qbf.Clause) error {
 		}
 	}
 	if len(lits) == 0 || !hasE {
-		if s.falseFrom < 0 || depth < s.falseFrom {
-			s.falseFrom = depth
-		}
+		s.frames[depth].contradiction = true
 		s.emitEv(telemetry.KindFrame, 0, 2, int64(depth))
 		return nil
 	}
@@ -286,8 +289,9 @@ func (s *Solver) assumeRoot(l code) error {
 	if s.lastResult == True {
 		s.lastResult = Unknown
 	}
-	s.assumps = append(s.assumps, assumption{lit: l, depth: len(s.frames)})
-	s.emitEv(telemetry.KindFrame, 0, 3, int64(len(s.frames)))
+	f := &s.frames[s.FrameDepth()]
+	f.assumed = append(f.assumed, l)
+	s.emitEv(telemetry.KindFrame, 0, 3, int64(s.FrameDepth()))
 	return nil
 }
 
@@ -318,12 +322,14 @@ func (s *Solver) assertRoot() bool {
 			assert(l, reasonConstraint, ci)
 		}
 	}
-	for _, a := range s.assumps {
-		switch s.val[a.lit] {
-		case vFalse:
-			return false
-		case undef:
-			assert(a.lit, reasonAssumption, -1)
+	for i := range s.frames {
+		for _, l := range s.frames[i].assumed {
+			switch s.val[l] {
+			case vFalse:
+				return false
+			case undef:
+				assert(l, reasonAssumption, -1)
+			}
 		}
 	}
 	return true
@@ -332,10 +338,10 @@ func (s *Solver) assertRoot() bool {
 // installRuntimeClause installs a validated, universally reduced clause as
 // a runtime original on the empty trail (beginOp): into the arena (learned
 // flag off, tagged with its frame depth), the occurrence and heuristic
-// counters, the residual-matrix bookkeeping, the watcher tables, the
-// runtime-original and cover lists, and, for a unit clause, the units
-// list. No literal is assigned, so the clause joins the residual matrix
-// and its watches are placed as for a construction-time original.
+// counters, the residual-matrix bookkeeping, the watcher tables, its
+// frame's clause and cover lists, and, for a unit clause, the units list.
+// No literal is assigned, so the clause joins the residual matrix and its
+// watches are placed as for a construction-time original.
 func (s *Solver) installRuntimeClause(lits []code, depth int) {
 	id := s.ar.alloc(lits, false, false)
 	s.ar.setFrame(id, depth)
@@ -347,29 +353,27 @@ func (s *Solver) installRuntimeClause(lits []code, depth int) {
 		s.activeOcc[l]++
 	}
 	s.initWatches(id)
-	s.runtimeOrig = append(s.runtimeOrig, id)
+	fr := &s.frames[depth]
+	fr.clauses = append(fr.clauses, id)
 	if s.coverable(id) {
-		s.coverRuntime = append(s.coverRuntime, int32(id))
+		fr.cover = append(fr.cover, int32(id))
 	}
 	if len(lits) == 1 {
 		s.units = append(s.units, id)
 	}
-	if depth > 0 {
-		fr := &s.frames[depth-1]
-		fr.clauses = append(fr.clauses, id)
-	}
 }
 
 // retractFrame retracts the runtime originals of the deepest frame, in
-// install order: the inverse of installRuntimeClause for each. It relies on
-// a suffix property. AddClause installs at the current depth, and depth 0
-// only while no frame is open, so the frame tags along runtimeOrig never
-// decrease, and every occurrence list holds the construction-time
-// originals and then the runtime ones in install order; compaction rebinds
-// refs in place. The deepest frame's clauses are therefore the last
-// entries of runtimeOrig, of coverRuntime, and of every occurrence list
-// that holds them, and each is cut off its end in O(1). Pop runs on the
-// empty trail, so every clause is in the residual matrix; its bookkeeping
+// install order: the inverse of installRuntimeClause for each, apart from
+// the frame's own lists, which leave with its record. It relies on a
+// suffix property. AddClause installs at the current depth, and at a
+// shallower depth only after the deeper frames popped, so every
+// occurrence list holds the construction-time originals and then the
+// runtime ones in the frames' depth order, each frame's in install order;
+// compaction rebinds refs in place. The deepest frame's clauses are
+// therefore the last entries of every occurrence list that holds them,
+// and each is cut off its end in O(1). Pop runs on the empty trail, so
+// every clause is in the residual matrix; its bookkeeping
 // (numUnsatOriginal, activeOcc, pureCand) runs per clause in install
 // order. Watcher entries are dropped lazily like any deleted constraint's.
 func (s *Solver) retractFrame(cls []int) {
@@ -398,12 +402,6 @@ func (s *Solver) retractFrame(cls []int) {
 			s.occ[m] = occ[:len(occ)-1]
 		}
 	}
-	s.runtimeOrig = s.runtimeOrig[:len(s.runtimeOrig)-len(cls)]
-	n := len(s.coverRuntime)
-	for n > 0 && s.ar.deleted(int(s.coverRuntime[n-1])) {
-		n--
-	}
-	s.coverRuntime = s.coverRuntime[:n]
 	s.nOriginalClauses -= len(cls)
 }
 

@@ -742,14 +742,14 @@ func TestIncrementalUnitAssumeDropsCubes(t *testing.T) {
 		if err := s.Assume(tc.lit); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.assumps) != 0 {
+		if len(s.frames[1].assumed) != 0 {
 			t.Fatalf("Assume(%v) was taken as a root assumption", tc.lit)
 		}
 		switch {
 		case !tc.universal && s.learnedCubes != 0:
 			t.Fatalf("Assume(%v) kept %d cubes, want 0", tc.lit, s.learnedCubes)
-		case tc.universal && (s.learnedCubes != cubes || s.falseFrom != 1):
-			t.Fatalf("Assume(%v) left %d cubes and falseFrom=%d, want %d and 1", tc.lit, s.learnedCubes, s.falseFrom, cubes)
+		case tc.universal && (s.learnedCubes != cubes || !s.frames[1].contradiction):
+			t.Fatalf("Assume(%v) left %d cubes and frame 1's contradiction %v, want %d and true", tc.lit, s.learnedCubes, s.frames[1].contradiction, cubes)
 		}
 		// Either way the formula is False: z1 is fixed although its value
 		// has to follow y1, and a universal cannot be fixed at all.
@@ -1007,9 +1007,9 @@ func TestPopLinearFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s.occ[enc(1)]); got != 1 || len(s.runtimeOrig) != 0 || s.nOriginalClauses != 1 {
-		t.Fatalf("after Pop: x1 occurs in %d clauses, %d runtime originals, %d originals; want 1, 0, 1",
-			got, len(s.runtimeOrig), s.nOriginalClauses)
+	if got := len(s.occ[enc(1)]); got != 1 || len(s.frames) != 1 || len(s.frames[0].clauses) != 0 || s.nOriginalClauses != 1 {
+		t.Fatalf("after Pop: x1 occurs in %d clauses, %d frame records, %d runtime originals, %d originals; want 1, 1, 0, 1",
+			got, len(s.frames), len(s.frames[0].clauses), s.nOriginalClauses)
 	}
 	if v := s.Solve(context.Background()); v != True {
 		t.Fatalf("after Pop: %v, want TRUE", v)
@@ -1046,8 +1046,8 @@ func TestPopLinearEmptyFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.runtimeOrig) != n || s.FrameDepth() != 0 {
-		t.Fatalf("%d runtime originals at depth %d, want %d at depth 0", len(s.runtimeOrig), s.FrameDepth(), n)
+	if len(s.frames[0].clauses) != n || s.FrameDepth() != 0 {
+		t.Fatalf("%d runtime originals at depth %d, want %d at depth 0", len(s.frames[0].clauses), s.FrameDepth(), n)
 	}
 	if v := s.Solve(context.Background()); v != True {
 		t.Fatalf("%v, want TRUE", v)

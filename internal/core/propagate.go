@@ -117,7 +117,7 @@ func (s *Solver) addLearned(lits []code, isCube bool, frame int) int {
 		s.units = append(s.units, id)
 	}
 	if frame > 0 {
-		fr := &s.frames[frame-1]
+		fr := &s.frames[frame]
 		fr.learned = append(fr.learned, id)
 	}
 	for _, l := range lits {
@@ -226,7 +226,7 @@ func (s *Solver) dropLearned(ci int) {
 // compactLearned slides the live learned constraints over the deleted ones
 // (construction-time originals never move), then rebinds every structure
 // holding arena refs: occurrence lists, watcher lists, the trail reasons,
-// the units list, the per-frame clause and learned lists, and the
+// the units list, the frames' clause, cover and learned lists, and the
 // satisfied-clause stack. Deleted refs are purged from the lists first —
 // after compaction their targets no longer exist. Callers must ensure no
 // conflict/solution event is pending (the same safe-point contract as
@@ -302,18 +302,18 @@ func (s *Solver) compactLearned() {
 			}
 		}
 		rebindRefs(s.units)
-		// Frame clause lists hold only live refs: frame originals are
-		// deleted exclusively by the Pop that discards their list. The
-		// runtime-original lists are likewise all-live (retractFrame cuts
-		// them eagerly). Rebinding in place keeps every list's order, so
-		// the suffix property retractFrame relies on survives.
+		// Frame clause and cover lists hold only live refs: frame
+		// originals are deleted exclusively by the Pop that discards their
+		// record, and the base's construction-time originals never move.
+		// Rebinding in place keeps every list's order, so the suffix
+		// property retractFrame relies on survives.
 		for fi := range s.frames {
-			rebindRefs(s.frames[fi].clauses)
-			rebindRefs(s.frames[fi].learned)
-		}
-		rebindRefs(s.runtimeOrig)
-		for i := range s.coverRuntime {
-			s.coverRuntime[i] = rebind(s.coverRuntime[i], olds, news)
+			f := &s.frames[fi]
+			rebindRefs(f.clauses)
+			rebindRefs(f.learned)
+			for i := range f.cover {
+				f.cover[i] = rebind(f.cover[i], olds, news)
+			}
 		}
 		// satStack holds live originals only (retractFrame drops entries
 		// eagerly), and compaction keeps their tags, so the stack stays

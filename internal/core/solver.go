@@ -69,12 +69,6 @@ type Solver struct {
 	// block below it in the quantifier tree: existential reduction always
 	// deletes such literals from cubes, so cover construction skips them.
 	eReducible []bool
-	// coverBase lists, in arena order, the construction-time original
-	// clauses that have a literal which is not eReducible: the only ones
-	// coverCube can take a literal from. coverRuntime is its counterpart
-	// for the runtime originals, in runtimeOrig order.
-	coverBase    []int32
-	coverRuntime []int32
 
 	// ar holds every constraint: originals first (their refs are stable,
 	// the region [0, origEnd) never moves), then learned, compacted in
@@ -148,32 +142,25 @@ type Solver struct {
 	trivial    Verdict // True/False decided during construction, else Unknown
 	lastResult Verdict // outcome of the most recent Solve call
 
-	// Incremental session state (Options.Incremental; see incremental.go).
-	// frames is the stack of open assumption frames; falseFrom is the
-	// shallowest frame depth at which an added clause universally reduced
-	// to a contradiction (-1: none), making the formula false while that
-	// frame lives. units lists the unit constraints above origEnd — runtime
-	// unit clauses and learned units — that solve asserts when it rebuilds
-	// level 0 (assertRoot); deleted refs stay until compaction purges them.
-	// runtimeOrig lists the live runtime-added original clauses (which sit
-	// above origEnd, interleaved with learned constraints), so matrix-wide
-	// walks like coverCube reach them without scanning the learned region.
-	// opDirty is set by session operations and consumed by the next Solve,
-	// which restarts the Luby schedule: the new query should explore from
-	// short restart intervals again instead of inheriting an arbitrarily
-	// long interval earned on a different formula. assumps holds the live
-	// root assumptions in Assume order, so their depths are non-decreasing;
-	// falseDepth is the frame depth the current False verdict was derived
-	// at; modelGone marks the terminal assignment of a True verdict as
-	// unwound by a session operation, so Witness has nothing to read.
-	frames      []frame
-	falseFrom   int
-	units       []int
-	runtimeOrig []int
-	opDirty     bool
-	assumps     []assumption
-	falseDepth  int
-	modelGone   bool
+	// frames holds one record per frame depth (incremental.go): frames[0]
+	// is the base, which every solver has and no Pop removes, and frames[d]
+	// the d-th open Push of a session.
+	//
+	// The rest is incremental session state (Options.Incremental). units
+	// lists the unit constraints above origEnd — runtime unit clauses and
+	// learned units — that solve asserts when it rebuilds level 0
+	// (assertRoot); deleted refs stay until compaction purges them. opDirty is set by session operations and consumed by the
+	// next Solve, which restarts the Luby schedule: the new query should
+	// explore from short restart intervals again instead of inheriting an
+	// arbitrarily long interval earned on a different formula. falseDepth
+	// is the frame depth the current False verdict was derived at;
+	// modelGone marks the terminal assignment of a True verdict as unwound
+	// by a session operation, so Witness has nothing to read.
+	frames     []frame
+	units      []int
+	opDirty    bool
+	falseDepth int
+	modelGone  bool
 
 	ws       workSet // reusable analysis working set
 	stampGen uint64  // last reduceSet generation; block stamps compare against it
@@ -274,8 +261,8 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 		counter:   make([]int, 2*(n+1)),
 		score:     make([]float64, 2*(n+1)),
 		watchCu:   make([][]watcher, 2*(n+1)),
+		frames:    make([]frame, 1),
 		trivial:   Unknown,
-		falseFrom: -1,
 	}
 
 	// Variables within 1..n that are bound by no block and occur in no
@@ -364,17 +351,17 @@ func NewSolver(q *qbf.QBF, opt Options) (*Solver, error) {
 	// Universal reduction in place, then installation. A contradictory
 	// clause (Lemma 4, or the empty clause of Lemma 3) ends a one-shot
 	// solver's construction with the clauses before it installed: the
-	// formula is trivially false. Incremental solvers record it as a
-	// base-frame falsity and finish construction instead: Pop can never
-	// reach below the base, so the verdict is permanent, but the solver
-	// must stay fully initialized for the session ops.
+	// formula is trivially false. Incremental solvers record it as the
+	// base frame's contradiction and finish construction instead: Pop can
+	// never reach below the base, so the verdict is permanent, but the
+	// solver must stay fully initialized for the session ops.
 	s.levelStart = append(s.levelStart, 0)
 	orig := work.Matrix[:0]
 	for _, c := range work.Matrix {
 		rc := s.reduceOriginal(c)
 		if len(rc) == 0 {
 			if opt.Incremental {
-				s.falseFrom = 0
+				s.frames[0].contradiction = true
 				continue
 			}
 			s.trivial = False
@@ -461,9 +448,9 @@ func (s *Solver) reduceOriginal(c qbf.Clause) qbf.Clause {
 
 // installOriginals installs the construction-time original clauses, in
 // order. The arena, the occurrence lists, the clause watch lists and the
-// cover list are sized from counts first, one slab per structure: each list
-// is a 3-index slice of its slab, so a later append (a runtime clause, a
-// moved watch) reallocates only that list.
+// base frame's cover list are sized from counts first, one slab per
+// structure: each list is a 3-index slice of its slab, so a later append
+// (a runtime clause, a moved watch) reallocates only that list.
 func (s *Solver) installOriginals(cs []qbf.Clause) {
 	words, longest := 0, 0
 	for _, c := range cs {
@@ -495,7 +482,8 @@ func (s *Solver) installOriginals(cs []qbf.Clause) {
 		}
 	}
 	s.watchCl = carve[watcher](watched)
-	s.coverBase = make([]int32, 0, coverable)
+	base := &s.frames[0]
+	base.cover = make([]int32, 0, coverable)
 	for ci := 0; ci < s.ar.end(); ci = s.ar.next(ci) {
 		for k := 0; k < s.ar.size(ci); k++ {
 			li := s.ar.lit(ci, k)
@@ -503,7 +491,7 @@ func (s *Solver) installOriginals(cs []qbf.Clause) {
 		}
 		s.attachWatches(ci)
 		if s.coverable(ci) {
-			s.coverBase = append(s.coverBase, int32(ci))
+			base.cover = append(base.cover, int32(ci))
 		}
 	}
 	s.nOriginalClauses = len(cs)
@@ -602,7 +590,7 @@ func (s *Solver) Solve(ctx context.Context) Verdict {
 	s.modelGone = false
 	s.lastResult = s.solve()
 	if s.lastResult == False {
-		s.falseDepth = len(s.frames)
+		s.falseDepth = s.FrameDepth()
 	}
 	s.emitEv(telemetry.KindStop, 0, int64(s.lastResult), int64(s.stats.StopReason))
 	return s.lastResult
@@ -651,11 +639,13 @@ func (s *Solver) solve() Verdict {
 		// trail, and a resumed search cannot re-detect it.
 		return s.lastResult
 	}
-	if s.falseFrom >= 0 {
-		// A clause added at frame depth falseFrom universally reduced to a
-		// contradiction; the formula is false while that frame lives (Pop
-		// clears the record, ops reset lastResult).
-		return False
+	for i := range s.frames {
+		if s.frames[i].contradiction {
+			// A clause added at this depth universally reduced to a
+			// contradiction; the formula is false while the frame lives
+			// (ops reset lastResult).
+			return False
+		}
 	}
 	if !s.assertRoot() {
 		// A root assumption is false once the units are asserted, and
