@@ -1,6 +1,8 @@
 package gate
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/qbf"
@@ -169,5 +171,46 @@ func TestCanonicalPermIsPermutation(t *testing.T) {
 			}
 			seen[img] = true
 		}
+	}
+}
+
+// TestDecodeBytesPerID bounds what the gate's decode path allocates per
+// variable id, on a one-variable body padded by a comment so that the id
+// 2^20 is within the reader's bound: ReadString at most 12 bytes per id
+// (the prefix's one per-variable array), and ReadString plus Key at most
+// 32. A body's ids are untrusted, so every per-id byte here is a byte an
+// attacker buys with one character of padding.
+func TestDecodeBytesPerID(t *testing.T) {
+	const id = 1 << 20
+	body := fmt.Sprintf("p cnf 1 1\nc %s\ne %d 0\n%d 0\n", strings.Repeat("x", id/8), id, id)
+	perID := func(f func() error) float64 {
+		t.Helper()
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+		})
+		return float64(r.AllocedBytesPerOp()) / id
+	}
+	read := perID(func() error {
+		_, err := qdimacs.ReadString(body)
+		return err
+	})
+	key := perID(func() error {
+		q, err := qdimacs.ReadString(body)
+		if err == nil {
+			Key(q, "po", "")
+		}
+		return err
+	})
+	t.Logf("bytes per id: ReadString %.1f, ReadString + Key %.1f", read, key)
+	if read > 12 {
+		t.Errorf("ReadString allocates %.1f bytes per id, want at most 12", read)
+	}
+	if key > 32 {
+		t.Errorf("ReadString + Key allocate %.1f bytes per id, want at most 32", key)
 	}
 }

@@ -50,11 +50,11 @@ type Prefix struct {
 	roots  []*Block
 	blocks []*Block // DFS preorder
 
+	// blockOf is the only per-variable array (1-based; nil for a free
+	// variable): a variable's quantifier, level and timestamps are its
+	// block's.
 	maxVar   int
-	quant    []Quant // 1-based, per variable; meaningful only if bound
 	blockOf  []*Block
-	d, f     []int // 1-based timestamps; 0 for unbound variables
-	level    []int // 1-based prefix levels; 0 for unbound variables
 	finished bool
 }
 
@@ -67,15 +67,21 @@ func NewPrefix(maxVar int) *Prefix {
 	return p
 }
 
-// grow extends the per-variable arrays to cover maxVar. Growth is
-// amortized (append doubles the capacity), so binding variables in
-// increasing order past the initial range stays linear.
+// grow extends blockOf to cover maxVar. Growth is amortized (the capacity
+// at least doubles), so binding variables in increasing order past the
+// initial range stays linear. The new array is the only allocation, also
+// in a race-instrumented build, where append(s, make(…)...) would
+// allocate its argument too.
 func (p *Prefix) grow(maxVar int) {
 	if maxVar <= p.maxVar {
 		return
 	}
-	p.quant = append(p.quant, make([]Quant, maxVar+1-len(p.quant))...)
-	p.blockOf = append(p.blockOf, make([]*Block, maxVar+1-len(p.blockOf))...)
+	if maxVar >= cap(p.blockOf) {
+		nb := make([]*Block, len(p.blockOf), max(maxVar+1, 2*cap(p.blockOf)))
+		copy(nb, p.blockOf)
+		p.blockOf = nb
+	}
+	p.blockOf = p.blockOf[:maxVar+1]
 	p.maxVar = maxVar
 }
 
@@ -138,7 +144,6 @@ func (p *Prefix) bind(b *Block, v Var) bool {
 	if p.blockOf[v] != nil {
 		return false
 	}
-	p.quant[v] = b.Quant
 	p.blockOf[v] = b
 	b.Vars = append(b.Vars, v)
 	return true
@@ -161,7 +166,7 @@ func (p *Prefix) QuantOf(v Var) Quant {
 	if !p.Bound(v) {
 		return Exists
 	}
-	return p.quant[v]
+	return p.blockOf[v].Quant
 }
 
 // BlockOf returns the block binding v, or nil if v is free.
@@ -180,9 +185,6 @@ func (p *Prefix) Finalize() {
 		return
 	}
 	p.blocks = p.blocks[:0]
-	p.d = make([]int, p.maxVar+1)
-	p.f = make([]int, p.maxVar+1)
-	p.level = make([]int, p.maxVar+1)
 
 	// The timestamp starts at 1 and is incremented each time the DFS
 	// enters a block whose quantifier differs from the innermost open
@@ -207,18 +209,11 @@ func (p *Prefix) Finalize() {
 			b.level = parent.level + 1
 		}
 		b.d = ts
-		for _, v := range b.Vars {
-			p.d[v] = ts
-			p.level[v] = b.level
-		}
 		for _, c := range b.Children {
 			walk(c, b)
 		}
 		b.f = ts
 		b.sf = sts
-		for _, v := range b.Vars {
-			p.f[v] = ts
-		}
 	}
 	for i, r := range p.roots {
 		// Sibling roots are independent scopes: advance the timestamp so
@@ -232,15 +227,26 @@ func (p *Prefix) Finalize() {
 	p.finished = true
 }
 
-// D returns the DFS discovery timestamp d(v) of Section VI. On trees whose
-// edges all alternate quantifiers (the shape the paper's example and all
-// the workload generators produce) d and f realize the parenthesis-theorem
-// test; Before itself uses the structural test, exact for every tree.
-// Valid after Finalize.
-func (p *Prefix) D(v Var) int { return p.d[v] }
+// D returns the DFS discovery timestamp d(v) of Section VI, 0 for a free
+// variable. On trees whose edges all alternate quantifiers (the shape the
+// paper's example and all the workload generators produce) d and f realize
+// the parenthesis-theorem test; Before itself uses the structural test,
+// exact for every tree. Valid after Finalize.
+func (p *Prefix) D(v Var) int {
+	if !p.Bound(v) {
+		return 0
+	}
+	return p.blockOf[v].d
+}
 
-// F returns the DFS finish timestamp f(v). See D. Valid after Finalize.
-func (p *Prefix) F(v Var) int { return p.f[v] }
+// F returns the DFS finish timestamp f(v), 0 for a free variable. See D.
+// Valid after Finalize.
+func (p *Prefix) F(v Var) int {
+	if !p.Bound(v) {
+		return 0
+	}
+	return p.blockOf[v].f
+}
 
 // Level returns the prefix level of v: the length of the longest chain
 // z1 ≺ … ≺ v. Free variables have level 0 (outermost of everything).
@@ -249,7 +255,7 @@ func (p *Prefix) Level(v Var) int {
 	if !p.Bound(v) {
 		return 0
 	}
-	return p.level[v]
+	return p.blockOf[v].level
 }
 
 // MaxLevel returns the prefix level of the whole QBF, i.e. the maximum
@@ -513,7 +519,7 @@ func (p *Prefix) SortedVarsByLevel() []Var {
 	p.Finalize()
 	vars := p.Vars()
 	sort.Slice(vars, func(i, j int) bool {
-		li, lj := p.level[vars[i]], p.level[vars[j]]
+		li, lj := p.blockOf[vars[i]].level, p.blockOf[vars[j]].level
 		if li != lj {
 			return li < lj
 		}
