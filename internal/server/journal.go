@@ -45,7 +45,7 @@ const (
 type journalOpen struct {
 	ID string `json:"id"`
 	// Req is the raw create-request body; recovery re-validates it
-	// through the same ParseSessionRequest + buildSpec path as a live
+	// through the same decode + buildSpec path (newSession) as a live
 	// create.
 	Req json.RawMessage `json:"req"`
 }

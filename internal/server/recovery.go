@@ -15,7 +15,7 @@ import (
 // torn-tail-truncated by journal.Open) and rebuild every session that was
 // live at the crash. Replay is deterministic because recovery runs the
 // same code paths as live traffic — the create request goes back through
-// ParseSessionRequest + buildSpec, and each recOps record re-applies its
+// newSession's decode + buildSpec, and each recOps record re-applies its
 // ops through applyOp, stopping at the first failing op exactly as the
 // original call did (op validation is deterministic, so a partially
 // applied call is partially re-applied to the same point).

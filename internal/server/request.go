@@ -83,35 +83,6 @@ type SessionSolveRequest struct {
 	Witness bool `json:"witness,omitempty"`
 }
 
-// ParseSessionRequest decodes the body of a session-create request with
-// the same strictness as ParseSolveRequest.
-func ParseSessionRequest(body []byte) (*SessionRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req SessionRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding session request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding session request: trailing data after JSON body")
-	}
-	return &req, nil
-}
-
-// ParseSessionSolveRequest decodes the body of a session solve call.
-func ParseSessionSolveRequest(body []byte) (*SessionSolveRequest, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req SessionSolveRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding session solve request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding session solve request: trailing data after JSON body")
-	}
-	return &req, nil
-}
-
 // ResponseStats is the search-effort excerpt reported per request.
 type ResponseStats struct {
 	Decisions      int64 `json:"decisions"`
@@ -188,21 +159,27 @@ type solveSpec struct {
 	key string
 }
 
-// ParseSolveRequest decodes the JSON body of a /solve request. Unknown
-// fields are rejected — a typoed budget field silently ignored would make
-// the caller believe a budget is in force when none is — as is trailing
-// garbage after the JSON object.
+// ParseSolveRequest decodes the JSON body of a /solve request
+// (decodeRequest).
 func ParseSolveRequest(body []byte) (*SolveRequest, error) {
+	return decodeRequest[SolveRequest](body, "request")
+}
+
+// decodeRequest is the one strict JSON decoder of every request body;
+// what names the request in its errors. Unknown fields are rejected — a
+// typoed budget field silently ignored would make the caller believe a
+// budget is in force when none is — as is trailing garbage after the JSON
+// object: a second document (or any non-space trailing bytes) is a
+// framing error, not extra context to ignore.
+func decodeRequest[T any](body []byte, what string) (*T, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var req SolveRequest
+	var req T
 	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+		return nil, fmt.Errorf("decoding %s: %w", what, err)
 	}
-	// A second document (or any non-space trailing bytes) is a framing
-	// error, not extra context to ignore.
 	if dec.More() {
-		return nil, fmt.Errorf("decoding request: trailing data after JSON body")
+		return nil, fmt.Errorf("decoding %s: trailing data after JSON body", what)
 	}
 	return &req, nil
 }

@@ -320,8 +320,8 @@ func (s *Server) sessionReaper() {
 //	GET  /statusz  JSON counters, breaker states, quarantine ledger
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/solve", s.handleSolve)
-	mux.HandleFunc("/v1/solve", s.handleSolve)
+	mux.HandleFunc("/solve", s.gated(s.handleSolve))
+	mux.HandleFunc("/v1/solve", s.gated(s.handleSolve))
 	mux.HandleFunc("/v1/session", s.gated(s.sessions.handleCreate))
 	mux.HandleFunc("/v1/session/", s.gated(s.sessions.handleSession))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -348,10 +348,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// gated wraps a handler with the shared admission envelope: the request is
-// counted against Drain's pending gauge before the drain flag is checked
-// (see handleSolve for why that order matters), and sheds with 503 once
-// draining has begun.
+// gated wraps a handler with the admission envelope every solve and
+// session route shares: the request is counted against Drain's pending
+// gauge before the drain flag is checked, and sheds with 503 once
+// draining has begun. The order matters: Drain sets the flag and then
+// waits for pending to reach zero, so any request that slipped past the
+// flag is still counted (and any counted after the flag is set
+// immediately sheds and uncounts).
 func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.pending.Add(1)
@@ -383,16 +386,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, SolveResponse{Error: "POST a SolveRequest to /solve"})
-		return
-	}
-	// Count the request before checking the drain flag: Drain sets the
-	// flag and then waits for pending to reach zero, so any request that
-	// slipped past the flag is still counted (and any counted after the
-	// flag is set immediately sheds and uncounts).
-	s.pending.Add(1)
-	defer s.pending.Add(-1)
-	if s.draining.Load() {
-		s.writeShed(w, ShedDraining, result.StatusUnavailable)
 		return
 	}
 	body, ok := s.readBody(w, r)

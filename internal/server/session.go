@@ -122,7 +122,7 @@ func (st *sessionStore) handleCreate(w http.ResponseWriter, r *http.Request) {
 // the one constructor of live creates (handleCreate) and journal replay
 // (rebuildSession), so a replayed session cannot drift from a live one.
 func (st *sessionStore) newSession(body []byte) (*session, error) {
-	req, err := ParseSessionRequest(body)
+	req, err := decodeRequest[SessionRequest](body, "session request")
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +260,7 @@ func (st *sessionStore) solve(w http.ResponseWriter, r *http.Request, id string)
 	if !ok {
 		return
 	}
-	req, err := ParseSessionSolveRequest(body)
+	req, err := decodeRequest[SessionSolveRequest](body, "session solve request")
 	if err != nil {
 		writeJSON(w, result.StatusBadRequest, SolveResponse{Error: err.Error()})
 		return
