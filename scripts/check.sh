@@ -44,10 +44,12 @@
 #                          against the oracle fails. With them the deep
 #                          checker's own tests: it accepts healthy state
 #                          and recomputes each empty-matrix cover by the
-#                          full walk, and each check — value table, cover
-#                          lists, cover shortcut, the frame suffix
-#                          property Pop relies on, tags, the unit list,
-#                          assumptions — fires on a planted violation.
+#                          full walk, and each check — value table, the
+#                          frames' cover lists, cover shortcut, the
+#                          occurrence-suffix property Pop relies on, a
+#                          clause on the wrong frame's list, the unit
+#                          list, stale and unasserted assumptions — fires
+#                          on a planted violation.
 #                          Also the block-marking reductions against the
 #                          pairwise definition of universal/existential
 #                          reduction on random tree and prenex prefixes: any
@@ -67,7 +69,11 @@
 #                          its verdict and search counts compared with
 #                          internal/bench/testdata/search_counts.golden,
 #                          so a change that alters the search fails here
-#                          by name. With it TestPaperShape, the paper's
+#                          by name, and TestSessionCountsGolden: one line
+#                          per session Solve (the incremental ladders and
+#                          the variant sweeps of internal/dia), compared
+#                          with internal/dia/testdata/session_counts.golden.
+#                          With them TestPaperShape, the paper's
 #                          shape in decisions under the same node-limit
 #                          discipline: PO at most TO on the smoke DIA
 #                          suite and per model (dme, ring, semaphore) on
@@ -89,9 +95,13 @@
 #                          quadratic step misses by minutes, and
 #                          NewSolver's bytes on alternating chains of 1k
 #                          and 4k blocks, which must grow linearly; and the
-#                          allocation test: ReadString plus NewSolver on
+#                          allocation tests: ReadString plus NewSolver on
 #                          four times the clauses may cost at most four
-#                          more allocations — see DESIGN.md §3.2)
+#                          more allocations, and on a padded body with id
+#                          2^20 ReadString may allocate at most 12 bytes
+#                          per id, ReadString plus the gate's cache Key at
+#                          most 32 (TestDecodeBytesPerID) — see DESIGN.md
+#                          §3.2)
 #   9. go test -fuzz smoke (5s fuzz each of the QDIMACS/QTREE reader, the
 #                          service request decoder, the clause-arena
 #                          op-stream model, and the session journal reader
@@ -174,7 +184,7 @@ go test -race ./...
 echo "==> go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/..."
 go test -tags qbfdebug -race ./internal/core/... ./internal/bench/... ./internal/server/... ./internal/gate/...
 
-echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame, unit-list and assumption invariants) + deep-checker planted violations + search counts golden + paper shape + construction path and Pop linear guards"
+echo "==> solver differential + incremental metamorphic (qbfdebug, race, watcher, frame, unit-list and assumption invariants) + deep-checker planted violations + search and session counts goldens + paper shape + construction path, bytes per id and Pop linear guards"
 go test -tags qbfdebug -race -count=1 \
     -run 'TestComboAgreement|TestFixedSuiteDifferential|TestIncremental|TestIncrementalRuntimeClauseWatches|TestWatcherInvariantsUnderFaultInjection|TestReduceSetMatchesPairwise|TestDeepCheck' \
     ./internal/core/
@@ -182,11 +192,13 @@ go test -tags qbfdebug -race -count=1 -short \
     -run 'TestVariantSweepBeatsOneShot|TestIncrementalDiameterMatchesOneShot' \
     ./internal/dia/
 go test -count=1 -run 'TestSearchCountsGolden|TestPaperShape' ./internal/bench/
+go test -count=1 -run TestSessionCountsGolden ./internal/dia/
 go test -count=1 -run 'TestConstructionMatchesReference|TestNewSolverLinear|TestConstructionAllocsFlat|TestPopLinearFrame|TestPopLinearEmptyFrames' \
     ./internal/core/
 go test -count=1 -run 'TestIsPrenexMatchesPairwise|TestValidateMatchesMapReference|TestIsPrenexLinear' \
     ./internal/qbf/
 go test -count=1 -run TestBuildSpecLinearPrenexCheck ./internal/server/
+go test -count=1 -run TestDecodeBytesPerID ./internal/gate/
 
 echo "==> go test -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/"
 go test -run '^$' -fuzz=FuzzRead -fuzztime=5s ./internal/qdimacs/
