@@ -151,8 +151,13 @@ func (a *arena) compactFrom(from int) (olds, news []int32) {
 }
 
 // rebind maps a ref through a compactFrom result (binary search on the
-// ascending olds).
+// ascending olds). A ref below the first moved one, such as a
+// construction-time original's, maps to itself without a search: the
+// base frame's cover list holds every coverable one.
 func rebind(ci int32, olds, news []int32) int32 {
+	if len(olds) == 0 || ci < olds[0] {
+		return ci
+	}
 	lo, hi := 0, len(olds)
 	for lo < hi {
 		mid := (lo + hi) / 2
