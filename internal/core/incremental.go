@@ -97,8 +97,9 @@ type frame struct {
 	learned []int
 	// assumed holds the root assumptions made at this depth, in Assume order.
 	assumed []code
-	// contradiction records that a clause added at this depth universally
-	// reduced to a contradiction: the formula is false while it lives.
+	// contradiction records that a clause added at this depth (for the
+	// base, also a construction-time one) universally reduced to a
+	// contradiction: the formula is false while the record lives.
 	contradiction bool
 }
 

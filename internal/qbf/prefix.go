@@ -50,10 +50,10 @@ type Prefix struct {
 	roots  []*Block
 	blocks []*Block // DFS preorder
 
+	maxVar int
 	// blockOf is the only per-variable array (1-based; nil for a free
 	// variable): a variable's quantifier, level and timestamps are its
 	// block's.
-	maxVar   int
 	blockOf  []*Block
 	finished bool
 }

@@ -159,8 +159,9 @@ type solveSpec struct {
 	key string
 }
 
-// ParseSolveRequest decodes the JSON body of a /solve request
-// (decodeRequest).
+// ParseSolveRequest decodes the JSON body of a /solve request with the
+// strictness of every request body (decodeRequest); qbfgate's edge
+// decodes with it too.
 func ParseSolveRequest(body []byte) (*SolveRequest, error) {
 	return decodeRequest[SolveRequest](body, "request")
 }
