@@ -149,13 +149,14 @@ type Solver struct {
 	// The rest is incremental session state (Options.Incremental). units
 	// lists the unit constraints above origEnd — runtime unit clauses and
 	// learned units — that solve asserts when it rebuilds level 0
-	// (assertRoot); deleted refs stay until compaction purges them. opDirty is set by session operations and consumed by the
-	// next Solve, which restarts the Luby schedule: the new query should
-	// explore from short restart intervals again instead of inheriting an
-	// arbitrarily long interval earned on a different formula. falseDepth
-	// is the frame depth the current False verdict was derived at;
-	// modelGone marks the terminal assignment of a True verdict as unwound
-	// by a session operation, so Witness has nothing to read.
+	// (assertRoot); deleted refs stay until compaction purges them.
+	// opDirty is set by session operations and consumed by the next Solve,
+	// which restarts the Luby schedule: the new query should explore from
+	// short restart intervals again instead of inheriting an arbitrarily
+	// long interval earned on a different formula. falseDepth is the frame
+	// depth the current False verdict was derived at; modelGone marks the
+	// terminal assignment of a True verdict as unwound by a session
+	// operation, so Witness has nothing to read.
 	frames     []frame
 	units      []int
 	opDirty    bool
